@@ -1,6 +1,7 @@
 package crossval
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -162,5 +163,34 @@ func TestEvaluateErrors(t *testing.T) {
 	ds := blobDataset(r, 2, 3, 5)
 	if _, err := Evaluate(ds, rforest.Config{Rand: r}, 100, r); err == nil {
 		t.Fatal("k > n accepted")
+	}
+}
+
+// BenchmarkCrossval times one Table III cell: 39 classes × 10 captures ×
+// 70 features, 10-fold cross-validation of the paper's 100-tree forest.
+func BenchmarkCrossval(b *testing.B) {
+	const classes, perClass, dims = 39, 10, 70
+	r := rand.New(rand.NewSource(5))
+	var ds features.Dataset
+	for c := 0; c < classes; c++ {
+		centre := make([]float64, dims)
+		for d := range centre {
+			centre[d] = 3 * r.NormFloat64()
+		}
+		for i := 0; i < perClass; i++ {
+			x := make([]float64, dims)
+			for d := range x {
+				x[d] = centre[d] + r.NormFloat64()
+			}
+			ds.Add(x, fmt.Sprintf("model-%02d", c))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := rand.New(rand.NewSource(int64(i)))
+		if _, err := Evaluate(&ds, rforest.Config{Rand: r}, 10, r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

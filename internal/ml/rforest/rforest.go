@@ -1,15 +1,25 @@
 // Package rforest is a from-scratch random-forest classifier matching
 // the paper's configuration: 100 trees, maximum depth 32, Gini impurity
 // as the splitting criterion, bootstrap sampling per tree, and a random
-// feature subset evaluated at every split.
+// feature subset evaluated at every split. Leaves are grown to purity or
+// to MaxDepth.
+//
+// Train is a pure function of its inputs and the state of cfg.Rand. It
+// accepts finite features only, and the order of equal-valued samples
+// cannot affect a split: the sweep evaluates only between distinct
+// values, with exact integer class counts.
 package rforest
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // Config holds the forest hyperparameters. The zero value of each field
@@ -19,8 +29,6 @@ type Config struct {
 	Trees int
 	// MaxDepth limits tree depth; zero means 32.
 	MaxDepth int
-	// MinLeaf is the minimum samples per leaf; zero means 1.
-	MinLeaf int
 	// FeaturesPerSplit is the number of candidate features per split;
 	// zero means ⌈√F⌉.
 	FeaturesPerSplit int
@@ -49,7 +57,9 @@ type Forest struct {
 	importance []float64
 }
 
-// Train fits a forest on samples X with labels Y in [0, classes).
+// Train fits a forest on samples X with labels Y in [0, classes). Every
+// feature must be finite; a NaN or ±Inf yields an error wrapping
+// stats.ErrNonFinite.
 func Train(cfg Config, X [][]float64, Y []int, classes int) (*Forest, error) {
 	if cfg.Trees == 0 {
 		cfg.Trees = 100
@@ -57,13 +67,10 @@ func Train(cfg Config, X [][]float64, Y []int, classes int) (*Forest, error) {
 	if cfg.MaxDepth == 0 {
 		cfg.MaxDepth = 32
 	}
-	if cfg.MinLeaf == 0 {
-		cfg.MinLeaf = 1
-	}
 	if cfg.Rand == nil {
 		return nil, errors.New("rforest: nil random stream")
 	}
-	if cfg.Trees < 1 || cfg.MaxDepth < 1 || cfg.MinLeaf < 1 {
+	if cfg.Trees < 1 || cfg.MaxDepth < 1 {
 		return nil, errors.New("rforest: non-positive hyperparameter")
 	}
 	if len(X) == 0 || len(X) != len(Y) {
@@ -79,6 +86,11 @@ func Train(cfg Config, X [][]float64, Y []int, classes int) (*Forest, error) {
 	for i, x := range X {
 		if len(x) != nFeat {
 			return nil, fmt.Errorf("rforest: sample %d has %d features, want %d", i, len(x), nFeat)
+		}
+		for j, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("rforest: sample %d feature %d: %w", i, j, stats.ErrNonFinite)
+			}
 		}
 	}
 	for i, y := range Y {
@@ -96,19 +108,15 @@ func Train(cfg Config, X [][]float64, Y []int, classes int) (*Forest, error) {
 	f := &Forest{cfg: cfg, features: nFeat, classes: classes}
 	f.trees = make([]tree, cfg.Trees)
 	f.importance = make([]float64, nFeat)
-	b := &builder{cfg: cfg, X: X, Y: Y, classes: classes,
-		importance: make([]float64, nFeat)}
+	b := newBuilder(cfg, X, Y, classes)
 	for t := range f.trees {
 		// Bootstrap: sample len(X) indices with replacement.
-		idx := make([]int, len(X))
-		for i := range idx {
-			idx[i] = cfg.Rand.Intn(len(X))
+		for i := range b.idx {
+			b.idx[i] = cfg.Rand.Intn(len(X))
 		}
-		b.nodes = nil
-		b.total = len(idx)
-		b.grow(idx, 0)
-		f.trees[t] = tree{nodes: b.nodes}
-		b.nodes = nil
+		b.nodes = b.nodes[:0]
+		b.grow(b.idx, 0)
+		f.trees[t] = tree{nodes: slices.Clone(b.nodes)}
 	}
 	// Normalize the accumulated impurity decreases to sum to 1.
 	var total float64
@@ -130,56 +138,121 @@ func (f *Forest) Importances() []float64 {
 	return append([]float64(nil), f.importance...)
 }
 
-// builder grows one tree.
+// builder grows the trees of one Train call. Its scratch buffers are
+// sized once per Train; only nodes and leaf probabilities allocate per
+// tree.
 type builder struct {
 	cfg        Config
 	X          [][]float64
 	Y          []int
 	classes    int
-	nodes      []node
-	total      int       // bootstrap sample size, for importance weights
 	importance []float64 // accumulated impurity decrease per feature
+
+	// rank[f*rows+s] is sample s's dense rank in feature f (equal values
+	// share a rank); vals[f][r] is feature f's value of rank r.
+	rows int
+	rank []uint32
+	vals [][]float64
+
+	nodes   []node    // the tree being grown
+	idx     []int     // bootstrap sample, partitioned in place by grow
+	spill   []int     // right-hand side of the partition in progress
+	feats   []int     // candidate-feature permutation
+	keys    []uint64  // rank<<32 | label, one per sample at the node
+	hist    []float64 // class counts at the node
+	left    []float64 // class counts left of a candidate split
+	right   []float64 // class counts right of a candidate split
+	present []int32   // classes with a non-zero count at the node, ascending
+}
+
+// newBuilder allocates the per-Train scratch and ranks every feature.
+func newBuilder(cfg Config, X [][]float64, Y []int, classes int) *builder {
+	rows, nFeat := len(X), len(X[0])
+	b := &builder{cfg: cfg, X: X, Y: Y, classes: classes,
+		importance: make([]float64, nFeat),
+		rows:       rows,
+		rank:       make([]uint32, nFeat*rows),
+		vals:       make([][]float64, nFeat),
+		idx:        make([]int, rows),
+		spill:      make([]int, 0, rows),
+		feats:      make([]int, nFeat),
+		keys:       make([]uint64, rows),
+		hist:       make([]float64, classes),
+		left:       make([]float64, classes),
+		right:      make([]float64, classes),
+		present:    make([]int32, 0, classes),
+	}
+	order := make([]int, rows)
+	vals := make([]float64, 0, nFeat*rows)
+	for f := 0; f < nFeat; f++ {
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(a, c int) int { return cmp.Compare(X[a][f], X[c][f]) })
+		rank := b.rank[f*rows : (f+1)*rows]
+		start := len(vals)
+		for i, s := range order {
+			// -0 and +0 compare equal and share a rank. Either can stand
+			// for it: a threshold adds a distinct, hence non-zero, value
+			// to it, and x + ±0 = x.
+			if i == 0 || X[s][f] != vals[len(vals)-1] {
+				vals = append(vals, X[s][f])
+			}
+			rank[s] = uint32(len(vals) - 1 - start)
+		}
+		b.vals[f] = vals[start:len(vals):len(vals)]
+	}
+	return b
 }
 
 // grow builds the subtree over the given sample indices and returns its
-// node index.
+// node index. It reorders idx: on return the left child's samples
+// precede the right child's.
 func (b *builder) grow(idx []int, depth int) int32 {
-	hist := make([]float64, b.classes)
+	hist := b.hist
+	clear(hist)
 	for _, i := range idx {
 		hist[b.Y[i]]++
 	}
-	pure := 0
-	for _, c := range hist {
-		if c > 0 {
-			pure++
+	b.present = b.present[:0]
+	for c, v := range hist {
+		if v > 0 {
+			b.present = append(b.present, int32(c))
 		}
 	}
 	id := int32(len(b.nodes))
 	b.nodes = append(b.nodes, node{feature: -1})
-	if pure <= 1 || depth >= b.cfg.MaxDepth || len(idx) < 2*b.cfg.MinLeaf {
-		b.leaf(id, hist, len(idx))
+	if len(b.present) <= 1 || depth >= b.cfg.MaxDepth {
+		b.leaf(id, len(idx))
 		return id
 	}
-	feat, thr, ok := b.bestSplit(idx, hist)
+	feat, thr, ok := b.bestSplit(idx)
 	if !ok {
-		b.leaf(id, hist, len(idx))
+		b.leaf(id, len(idx))
 		return id
 	}
-	var left, right []int
+	// Stable partition into [left | right].
+	nl := 0
+	spill := b.spill[:0]
 	for _, i := range idx {
 		if b.X[i][feat] <= thr {
-			left = append(left, i)
+			idx[nl] = i
+			nl++
 		} else {
-			right = append(right, i)
+			spill = append(spill, i)
 		}
 	}
-	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
-		b.leaf(id, hist, len(idx))
+	copy(idx[nl:], spill)
+	// The midpoint of two adjacent floats can round onto the upper one,
+	// and two huge ones can overflow to ±Inf; either can send every
+	// sample to one side.
+	if nl == 0 || nl == len(idx) {
+		b.leaf(id, len(idx))
 		return id
 	}
-	b.accumulateImportance(feat, hist, left, right)
-	l := b.grow(left, depth+1)
-	r := b.grow(right, depth+1)
+	b.accumulateImportance(feat, idx[:nl], idx[nl:])
+	l := b.grow(idx[:nl], depth+1)
+	r := b.grow(idx[nl:], depth+1)
 	b.nodes[id].feature = feat
 	b.nodes[id].threshold = thr
 	b.nodes[id].left = l
@@ -187,11 +260,14 @@ func (b *builder) grow(idx []int, depth int) int32 {
 	return id
 }
 
-// accumulateImportance records the split's weighted Gini decrease.
-func (b *builder) accumulateImportance(feat int, hist []float64, left, right []int) {
+// accumulateImportance records the split's weighted Gini decrease. It
+// reads the node's histogram, so it must run before grow recurses.
+func (b *builder) accumulateImportance(feat int, left, right []int) {
 	n := float64(len(left) + len(right))
-	lh := make([]float64, b.classes)
-	rh := make([]float64, b.classes)
+	lh, rh := b.left, b.right
+	for _, c := range b.present {
+		lh[c], rh[c] = 0, 0
+	}
 	for _, i := range left {
 		lh[b.Y[i]]++
 	}
@@ -199,62 +275,60 @@ func (b *builder) accumulateImportance(feat int, hist []float64, left, right []i
 		rh[b.Y[i]]++
 	}
 	nl, nr := float64(len(left)), float64(len(right))
-	decrease := gini(hist, n) - nl/n*gini(lh, nl) - nr/n*gini(rh, nr)
+	decrease := gini(b.hist, b.present, n) - nl/n*gini(lh, b.present, nl) - nr/n*gini(rh, b.present, nr)
 	if decrease > 0 {
-		b.importance[feat] += n / float64(b.total) * decrease
+		b.importance[feat] += n / float64(b.rows) * decrease
 	}
 }
 
-func (b *builder) leaf(id int32, hist []float64, n int) {
-	proba := make([]float64, len(hist))
-	if n > 0 {
-		for i, c := range hist {
-			proba[i] = c / float64(n)
-		}
+// leaf stores the node's normalized class histogram.
+func (b *builder) leaf(id int32, n int) {
+	proba := make([]float64, b.classes)
+	for _, c := range b.present {
+		proba[c] = b.hist[c] / float64(n)
 	}
 	b.nodes[id].proba = proba
 }
 
 // bestSplit searches a random feature subset for the threshold with the
 // lowest weighted Gini impurity.
-func (b *builder) bestSplit(idx []int, hist []float64) (feat int, thr float64, ok bool) {
+func (b *builder) bestSplit(idx []int) (feat int, thr float64, ok bool) {
 	n := float64(len(idx))
 	bestGini := math.Inf(1)
 
 	// Sample cfg.FeaturesPerSplit distinct features (partial shuffle).
-	feats := b.cfg.Rand.Perm(len(b.X[0]))[:b.cfg.FeaturesPerSplit]
-
-	type pair struct {
-		v float64
-		y int
-	}
-	pairs := make([]pair, len(idx))
-	leftHist := make([]float64, b.classes)
-	rightHist := make([]float64, b.classes)
-
-	for _, f := range feats {
+	perm(b.cfg.Rand, b.feats)
+	keys := b.keys[:len(idx)]
+	last := len(keys) - 1
+	for _, f := range b.feats[:b.cfg.FeaturesPerSplit] {
+		rank := b.rank[f*b.rows : (f+1)*b.rows]
 		for i, s := range idx {
-			pairs[i] = pair{v: b.X[s][f], y: b.Y[s]}
+			keys[i] = uint64(rank[s])<<32 | uint64(b.Y[s])
 		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
-		for i := range leftHist {
-			leftHist[i] = 0
-			rightHist[i] = hist[i]
+		slices.Sort(keys)
+		if keys[0]>>32 == keys[last]>>32 {
+			continue // constant at this node: no split position
+		}
+		for _, c := range b.present {
+			b.left[c] = 0
+			b.right[c] = b.hist[c]
 		}
 		// Sweep split positions between distinct values.
-		for i := 0; i < len(pairs)-1; i++ {
-			leftHist[pairs[i].y]++
-			rightHist[pairs[i].y]--
-			if pairs[i].v == pairs[i+1].v {
+		for i := 0; i < last; i++ {
+			y := uint32(keys[i])
+			b.left[y]++
+			b.right[y]--
+			r, next := keys[i]>>32, keys[i+1]>>32
+			if r == next {
 				continue
 			}
 			nl := float64(i + 1)
 			nr := n - nl
-			g := nl/n*gini(leftHist, nl) + nr/n*gini(rightHist, nr)
+			g := nl/n*gini(b.left, b.present, nl) + nr/n*gini(b.right, b.present, nr)
 			if g < bestGini {
 				bestGini = g
 				feat = f
-				thr = (pairs[i].v + pairs[i+1].v) / 2
+				thr = (b.vals[f][r] + b.vals[f][next]) / 2
 				ok = true
 			}
 		}
@@ -262,14 +336,28 @@ func (b *builder) bestSplit(idx []int, hist []float64) (feat int, thr float64, o
 	return feat, thr, ok
 }
 
-// gini computes the Gini impurity of a class histogram with total n.
-func gini(hist []float64, n float64) float64 {
+// perm fills m with r.Perm(len(m)), making the identical sequence of
+// r.Intn(i+1) draws; the Go 1 compatibility promise freezes Perm's
+// algorithm.
+func perm(r *rand.Rand, m []int) {
+	for i := range m {
+		j := r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+}
+
+// gini computes the Gini impurity of a class histogram with total n,
+// summing over the given classes in order. A class with a zero count
+// contributes an exact zero, so the classes absent from a node can be
+// left out without changing a bit.
+func gini(hist []float64, classes []int32, n float64) float64 {
 	if n == 0 {
 		return 0
 	}
 	s := 1.0
-	for _, c := range hist {
-		p := c / n
+	for _, c := range classes {
+		p := hist[c] / n
 		s -= p * p
 	}
 	return s

@@ -1,10 +1,13 @@
 package rforest
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 func rng() *rand.Rand { return rand.New(rand.NewSource(21)) }
@@ -49,6 +52,15 @@ func TestTrainValidation(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Train(c.cfg, c.x, c.y, c.cls); err == nil {
 			t.Errorf("%s: invalid input accepted", c.name)
+		}
+	}
+	for _, x := range [][][]float64{
+		{{math.NaN(), 2}, {3, 4}},
+		{{1, math.Inf(1)}, {3, 4}},
+		{{1, 2}, {3, math.Inf(-1)}},
+	} {
+		if _, err := Train(Config{Rand: rng()}, x, Y, 2); !errors.Is(err, stats.ErrNonFinite) {
+			t.Errorf("features %v: err = %v, want stats.ErrNonFinite", x, err)
 		}
 	}
 }
@@ -289,14 +301,19 @@ func TestImportancesZeroOnConstantData(t *testing.T) {
 }
 
 func TestGini(t *testing.T) {
-	if g := gini([]float64{10, 0}, 10); g != 0 {
+	if g := gini([]float64{10, 0}, []int32{0}, 10); g != 0 {
 		t.Fatalf("pure gini = %v", g)
 	}
-	if g := gini([]float64{5, 5}, 10); math.Abs(g-0.5) > 1e-12 {
+	if g := gini([]float64{5, 5}, []int32{0, 1}, 10); math.Abs(g-0.5) > 1e-12 {
 		t.Fatalf("even gini = %v, want 0.5", g)
 	}
-	if g := gini(nil, 0); g != 0 {
+	if g := gini(nil, nil, 0); g != 0 {
 		t.Fatalf("empty gini = %v", g)
+	}
+	// Leaving out an absent class changes no bit.
+	hist := []float64{3, 0, 7, 0, 1}
+	if a, b := gini(hist, []int32{0, 1, 2, 3, 4}, 11), gini(hist, []int32{0, 2, 4}, 11); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("present-class gini %v != all-class gini %v", b, a)
 	}
 }
 
