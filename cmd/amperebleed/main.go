@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"repro/internal/board"
+	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/dpu"
 	"repro/internal/faults"
@@ -58,7 +59,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/jobs/kinds"
 	"repro/internal/obs"
-	"repro/internal/obs/export"
 	"repro/internal/obs/ledger"
 	"repro/internal/obs/olog"
 	"repro/internal/report"
@@ -109,14 +109,6 @@ func noteResumedSpec(kind, faultProfile string, faultIntensity float64) {
 	runMeta.faultIntensity = faultIntensity
 }
 
-// faultSpec keeps the raw global fault flags for commands that route
-// through the job engine, whose checkpoints record the profile by name
-// and intensity rather than as a resolved rate table.
-var faultSpec struct {
-	name      string
-	intensity float64
-}
-
 func main() { os.Exit(run()) }
 
 // run is main behind an exit code, so the ledger, trace export and
@@ -132,14 +124,9 @@ func run() int {
 	obsText := flag.Bool("obs", false, "print an observability snapshot after the command")
 	obsAddr := flag.String("obs-addr", "", "serve /metrics, /metrics/stream, /healthz, /debug/pprof and /metrics/snapshot on this address while the command runs")
 	obsHold := flag.Duration("obs-hold", 0, "keep the -obs-addr server up this long after the command completes (for scraping a finished run)")
-	history := flag.Bool("history", false, "record a metrics time series while the command runs (served on /metrics/range and /metrics/query, rendered as sparklines by `top`)")
-	historyInterval := flag.Duration("history-interval", obs.DefaultHistoryInterval, "sampling interval of the -history recorder")
-	logLevel := flag.String("log-level", "warn", "structured log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "text", "structured log format: text|json")
-	faultsName := flag.String("faults", "none", "fault profile injected into every simulated board: "+strings.Join(faults.PresetNames(), "|"))
 	faultIntensity := flag.Float64("fault-intensity", 1, "scale factor applied to the -faults profile rates")
-	ledgerPath := flag.String("ledger", "", "append a run manifest to this JSONL run ledger after the command")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run (load in Perfetto)")
+	var global cliflags.Flags
+	global.Register(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -150,24 +137,23 @@ func run() int {
 	if err := (runFlags{
 		FaultIntensity:  *faultIntensity,
 		ObsHold:         *obsHold,
-		History:         *history,
-		HistoryInterval: *historyInterval,
+		History:         global.History,
+		HistoryInterval: global.HistoryInterval,
 	}).validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "amperebleed: %v\n", err)
 		return 2
 	}
-	start := time.Now()
-	if err := olog.Setup(*logLevel, *logFormat, os.Stderr); err != nil {
-		fmt.Fprintf(os.Stderr, "amperebleed: %v\n", err)
-		return 2
-	}
-	olog.SetRunID(fmt.Sprintf("%s-%d-%d", cmd, os.Getpid(), start.Unix()))
-	profile, err := parseFaults(*faultsName, *faultIntensity)
+	// The session's history recorder stops after the obs-server defer
+	// below has run: LIFO ordering keeps history sampling live through
+	// an -obs-hold window, so a held server still answers /metrics/range
+	// with fresh windows.
+	sess, err := global.Start(cmd, *faultIntensity)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "amperebleed: %v\n", err)
 		return 2
 	}
-	faultSpec.name, faultSpec.intensity = *faultsName, *faultIntensity
+	defer sess.Stop()
+	profile := sess.Profile
 	// Two-stage shutdown: the first SIGINT/SIGTERM cancels runCtx so the
 	// command winds down and the tail below still flushes the ledger,
 	// trace and checkpoints; a second signal aborts immediately.
@@ -175,15 +161,6 @@ func run() int {
 	defer stopNotify()
 	runCtx, stopSignals := watchSignals(context.Background(), sigCh, os.Exit)
 	defer stopSignals()
-	if *history {
-		// The recorder's own context, registered before the obs-server
-		// defer: LIFO ordering keeps history sampling live through an
-		// -obs-hold window, so a held server still answers /metrics/range
-		// with fresh windows.
-		histCtx, stopHistory := context.WithCancel(context.Background())
-		defer stopHistory()
-		obs.StartRecorder(histCtx, obs.RecorderOptions{Interval: *historyInterval})
-	}
 	if *obsAddr != "" {
 		serveCtx, stopServe := context.WithCancel(context.Background())
 		bound, shutdown, err := obs.Serve(serveCtx, *obsAddr, obs.Default)
@@ -209,8 +186,8 @@ func run() int {
 			shutdown()
 		}()
 		fmt.Fprintf(os.Stderr, "obs: serving http://%s/metrics (OpenMetrics), /metrics/stream (SSE), /healthz and /debug/pprof/\n", bound)
-		if *history {
-			fmt.Fprintf(os.Stderr, "obs: recording metrics history every %v; query /metrics/range and /metrics/query\n", *historyInterval)
+		if global.History {
+			fmt.Fprintf(os.Stderr, "obs: recording metrics history every %v; query /metrics/range and /metrics/query\n", global.HistoryInterval)
 		}
 	}
 	switch cmd {
@@ -223,7 +200,7 @@ func run() int {
 	case "watch":
 		err = cmdWatch(args)
 	case "characterize":
-		err = cmdCharacterize(runCtx, args, profile)
+		err = cmdCharacterize(runCtx, args, sess)
 	case "fingerprint":
 		err = cmdFingerprint(args, profile)
 	case "rsa":
@@ -269,48 +246,29 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "amperebleed: %v\n", err)
 		code = 1
 	}
-	if *traceOut != "" {
-		if err := export.WriteFile(*traceOut, obs.Default.Snapshot()); err != nil {
-			fmt.Fprintf(os.Stderr, "amperebleed: trace export: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "trace timeline written to %s\n", *traceOut)
-	}
-	if *ledgerPath != "" && cmd != "runs" {
-		faultProfile := ""
-		intensity := 0.0
-		if profile != nil {
-			faultProfile = *faultsName
-			intensity = *faultIntensity
-		}
+	var info *ledger.RunInfo
+	if cmd != "runs" {
 		manifestCmd := cmd
 		if runMeta.command != "" {
 			manifestCmd = runMeta.command
 		}
-		if runMeta.faultProfile != "" {
-			faultProfile = runMeta.faultProfile
-			intensity = runMeta.faultIntensity
-		}
-		m := ledger.New(ledger.RunInfo{
+		info = &ledger.RunInfo{
 			Tool:           "amperebleed",
 			Command:        manifestCmd,
 			Args:           args,
 			Board:          "zcu102",
 			Seed:           runMeta.seed,
-			FaultProfile:   faultProfile,
-			FaultIntensity: intensity,
+			FaultProfile:   runMeta.faultProfile,
+			FaultIntensity: runMeta.faultIntensity,
 			Workers:        runMeta.workers,
 			RunID:          runMeta.runID,
 			ParentRunID:    runMeta.parentRunID,
 			ResumedShards:  runMeta.resumedShards,
-			Started:        start,
-			Wall:           time.Since(start),
-		}, obs.Default.Snapshot())
-		if err := ledger.Append(*ledgerPath, m); err != nil {
-			fmt.Fprintf(os.Stderr, "amperebleed: ledger: %v\n", err)
-			return 1
 		}
-		fmt.Fprintf(os.Stderr, "run manifest appended to %s\n", *ledgerPath)
+	}
+	if err := sess.Finish(os.Stderr, info); err != nil {
+		fmt.Fprintf(os.Stderr, "amperebleed: %v\n", err)
+		return 1
 	}
 	if *obsText {
 		fmt.Println()
@@ -320,23 +278,6 @@ func run() int {
 		}
 	}
 	return code
-}
-
-// parseFaults resolves the global -faults/-fault-intensity flags into a
-// profile for the board configs, or nil when fault injection is off.
-func parseFaults(name string, intensity float64) (*faults.Profile, error) {
-	p, err := faults.Preset(name)
-	if err != nil {
-		return nil, err
-	}
-	p, err = p.Scale(intensity)
-	if err != nil {
-		return nil, err
-	}
-	if !p.Enabled() {
-		return nil, nil
-	}
-	return &p, nil
 }
 
 func usage() {
@@ -626,7 +567,7 @@ func deployVirus(b *board.ZCU102, groups int) error {
 	return array.SetActiveGroups(groups)
 }
 
-func cmdCharacterize(ctx context.Context, args []string, profile *faults.Profile) error {
+func cmdCharacterize(ctx context.Context, args []string, sess *cliflags.Session) error {
 	fs := flag.NewFlagSet("characterize", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "experiment seed")
 	levels := fs.Int("levels", 0, "activation levels (0 = paper's 161)")
@@ -655,15 +596,13 @@ func cmdCharacterize(ctx context.Context, args []string, profile *faults.Profile
 			RunID:          fmt.Sprintf("characterize-%d-%d", os.Getpid(), time.Now().Unix()),
 			Seed:           *seed,
 			Board:          "zcu102",
-			FaultProfile:   faultSpec.name,
-			FaultIntensity: faultSpec.intensity,
 			Config:         cfg,
 			Workers:        *parallel,
 			CheckpointPath: *checkpoint,
 		}
-		if faultSpec.name == "none" {
-			spec.FaultProfile, spec.FaultIntensity = "", 0
-		}
+		// The same resolved profile as the direct path: none at all when
+		// -faults is none or -fault-intensity is 0.
+		spec.FaultProfile, spec.FaultIntensity = sess.FaultSpec()
 		out, agg, err := kindExecutor(ctx, spec)
 		if out != nil {
 			noteLineage(spec.RunID, out.ParentRunID, out.ResumedShards)
@@ -682,7 +621,7 @@ func cmdCharacterize(ctx context.Context, args []string, profile *faults.Profile
 		SamplesPerLevel:   *samples,
 		DisableStabilizer: *noStab,
 		Parallelism:       *parallel,
-		Faults:            profile,
+		Faults:            sess.Profile,
 	})
 	if err != nil {
 		return err

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"repro/internal/cliflags"
 )
 
 // runFlags gathers the flag values every command path must validate
@@ -47,8 +49,5 @@ func (f runFlags) validate() error {
 	if f.Parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (0 selects the command's default; got %d)", f.Parallel)
 	}
-	if f.History && f.HistoryInterval <= 0 {
-		return fmt.Errorf("-history-interval must be > 0 when -history is on (got %v)", f.HistoryInterval)
-	}
-	return nil
+	return cliflags.ValidateHistory(f.History, f.HistoryInterval)
 }

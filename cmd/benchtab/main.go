@@ -26,7 +26,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -34,22 +33,21 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/board"
+	"repro/internal/cliflags"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/obs/export"
 	"repro/internal/obs/ledger"
-	"repro/internal/obs/olog"
 	"repro/internal/perf"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
 
 func main() {
+	var global cliflags.Flags
+	global.Register(flag.CommandLine)
 	var (
 		exp        = flag.String("exp", "all", "experiment: table1|table2|fig2|fig3|table3|fig4|applicability|tvla|mitigation|all")
 		seed       = flag.Int64("seed", 1, "root seed for every experiment")
@@ -58,29 +56,16 @@ func main() {
 		paperScale = flag.Bool("paper-scale", false, "use the paper's full capture budgets (slow)")
 		jsonOut    = flag.String("json", "", "write a JSON perf artifact (obs snapshot + derived rates), e.g. BENCH_obs.json")
 		parallel   = flag.Int("parallel", 0, "workers for sharded experiments (0 = GOMAXPROCS; results are identical for any worker count)")
-		faultsName = flag.String("faults", "none", "fault profile injected into every simulated board: "+strings.Join(faults.PresetNames(), "|"))
 		repeat     = flag.Int("repeat", 1, "run the experiments this many times for rate statistics (output printed once)")
 		baseline   = flag.String("baseline", "", "baseline perf artifact (BENCH_*.json) for -compare")
 		compare    = flag.Bool("compare", false, "compare this run's artifact against -baseline and exit non-zero on drift/regression")
 		regressPct = flag.Float64("regress-pct", 0, "fail when a wall-clock rate regresses beyond this percent (0 = rates report-only)")
-		ledgerPath = flag.String("ledger", "", "append a run manifest to this JSONL run ledger")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run (load in Perfetto)")
-		logLevel   = flag.String("log-level", "warn", "structured log level: debug|info|warn|error")
-		logFormat  = flag.String("log-format", "text", "structured log format: text|json")
-		history    = flag.Bool("history", false, "record a metrics time series while the experiments run (the obs.tsdb recorder; its lazily registered self-metrics stay out of the deterministic-counter gate)")
-		historyInt = flag.Duration("history-interval", obs.DefaultHistoryInterval, "sampling interval of the -history recorder")
 	)
 	flag.Parse()
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 		os.Exit(1)
 	}
-	if err := olog.Setup(*logLevel, *logFormat, os.Stderr); err != nil {
-		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-		os.Exit(2)
-	}
-	olog.SetRunID(fmt.Sprintf("benchtab-%s-%d-%d", *exp, os.Getpid(), time.Now().Unix()))
-
 	switch *exp {
 	case "table1", "table2", "fig2", "fig3", "table3", "fig4",
 		"applicability", "tvla", "mitigation", "all":
@@ -97,24 +82,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchtab: -compare requires -baseline FILE")
 		os.Exit(2)
 	}
-	if *history {
-		if *historyInt <= 0 {
-			fmt.Fprintf(os.Stderr, "benchtab: -history-interval must be > 0 (got %v)\n", *historyInt)
-			os.Exit(2)
-		}
-		histCtx, stopHistory := context.WithCancel(context.Background())
-		defer stopHistory()
-		obs.StartRecorder(histCtx, obs.RecorderOptions{Interval: *historyInt})
-	}
-
-	start := time.Now()
-	var profile *faults.Profile
-	if p, err := faults.Preset(*faultsName); err != nil {
+	// benchtab has no -fault-intensity: a profile runs as defined.
+	sess, err := global.Start("benchtab-"+*exp, 1)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 		os.Exit(2)
-	} else if p.Enabled() {
-		profile = &p
 	}
+	defer sess.Stop()
+	profile := sess.Profile
 
 	experiments := func(out io.Writer) error {
 		var firstErr error
@@ -278,39 +253,19 @@ func main() {
 		}
 		fmt.Printf("perf artifact written to %s (%d repeat(s))\n", *jsonOut, len(arts))
 	}
-	if *traceOut != "" {
-		if err := export.WriteFile(*traceOut, obs.Default.Snapshot()); err != nil {
-			fail(err)
-		}
-		fmt.Printf("trace timeline written to %s\n", *traceOut)
+	workers := *parallel
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if *ledgerPath != "" {
-		faultProfile := ""
-		intensity := 0.0
-		if profile != nil {
-			faultProfile = *faultsName
-			intensity = 1
-		}
-		workers := *parallel
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		m := ledger.New(ledger.RunInfo{
-			Tool:           "benchtab",
-			Command:        *exp,
-			Args:           os.Args[1:],
-			Board:          "zcu102",
-			Seed:           *seed,
-			FaultProfile:   faultProfile,
-			FaultIntensity: intensity,
-			Workers:        workers,
-			Started:        start,
-			Wall:           time.Since(start),
-		}, obs.Default.Snapshot())
-		if err := ledger.Append(*ledgerPath, m); err != nil {
-			fail(err)
-		}
-		fmt.Printf("run manifest appended to %s\n", *ledgerPath)
+	if err := sess.Finish(os.Stdout, &ledger.RunInfo{
+		Tool:    "benchtab",
+		Command: *exp,
+		Args:    os.Args[1:],
+		Board:   "zcu102",
+		Seed:    *seed,
+		Workers: workers,
+	}); err != nil {
+		fail(err)
 	}
 	if *compare {
 		base, err := perf.ReadFile(*baseline)

@@ -60,12 +60,28 @@ func Applicability(cfg ApplicabilityConfig) ([]BoardApplicability, error) {
 	if err != nil {
 		return nil, err
 	}
+	shards, err := ApplicabilityShards(cfg)
+	if err != nil {
+		return nil, err
+	}
+	obs.Eventf("applicability: %d boards starting", len(shards))
+	return runShards("applicability", cfg.Seed, cfg.Parallelism, shards)
+}
 
+// ApplicabilityShards is the Table I survey as one shard per catalog
+// board, keyed "applicability/<board>" in catalog order. Each shard
+// wires its board with a seed derived from cfg.Seed and the board name,
+// so rows are identical for any worker count; building the list wires
+// no board. It is the one shard definition both Applicability and the
+// supervised job engine run.
+func ApplicabilityShards(cfg ApplicabilityConfig) ([]runner.Shard[BoardApplicability], error) {
+	cfg, err := normalizeApplicability(cfg)
+	if err != nil {
+		return nil, err
+	}
 	catalog := board.Catalog()
-	obs.Eventf("applicability: %d boards starting", len(catalog))
 	shards := make([]runner.Shard[BoardApplicability], len(catalog))
 	for i, spec := range catalog {
-		spec := spec
 		shards[i] = runner.Shard[BoardApplicability]{
 			Key: "applicability/" + spec.Name,
 			Run: func(ctx context.Context, info runner.Info) (BoardApplicability, error) {
@@ -73,18 +89,7 @@ func Applicability(cfg ApplicabilityConfig) ([]BoardApplicability, error) {
 			},
 		}
 	}
-	results, err := runner.Run(context.Background(), runner.Config{
-		Name:    "applicability",
-		Seed:    cfg.Seed,
-		Workers: cfg.Parallelism,
-	}, shards)
-	if err != nil {
-		return nil, err
-	}
-	if err := runner.FirstErr(results); err != nil {
-		return nil, err
-	}
-	return runner.Values(results), nil
+	return shards, nil
 }
 
 func normalizeApplicability(cfg ApplicabilityConfig) (ApplicabilityConfig, error) {
@@ -104,24 +109,6 @@ func normalizeApplicability(cfg ApplicabilityConfig) (ApplicabilityConfig, error
 		return cfg, errors.New("core: non-positive samples per level")
 	}
 	return cfg, nil
-}
-
-// ApplicabilityBoard runs the Table I survey for one named board — the
-// per-shard unit of Applicability, exported for the supervised job
-// engine. The board seed derives from cfg.Seed and the board name
-// exactly as in the full survey, so a supervised run reproduces the
-// same rows the one-shot survey does.
-func ApplicabilityBoard(ctx context.Context, cfg ApplicabilityConfig, name string) (BoardApplicability, error) {
-	cfg, err := normalizeApplicability(cfg)
-	if err != nil {
-		return BoardApplicability{}, err
-	}
-	for _, spec := range board.Catalog() {
-		if spec.Name == name {
-			return applicabilityOne(ctx, cfg, spec)
-		}
-	}
-	return BoardApplicability{}, fmt.Errorf("core: unknown board %q", name)
 }
 
 func applicabilityOne(ctx context.Context, cfg ApplicabilityConfig, spec board.Spec) (BoardApplicability, error) {

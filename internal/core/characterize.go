@@ -94,8 +94,7 @@ type CharacterizeResult struct {
 
 // DefaultCharacterizeLevels is the sweep size a zero
 // CharacterizeConfig.Levels selects: the paper's 161 activation levels
-// (0..160 groups). Exported so job planners can expand the shard list
-// without wiring a board.
+// (0..160 groups).
 const DefaultCharacterizeLevels = virus.DefaultGroups + 1
 
 // Channel LSBs used to express slopes (Sec. III-C).
@@ -106,8 +105,8 @@ const (
 )
 
 // normalizeCharacterize applies the documented defaults and validates;
-// Characterize and the job-engine per-level entry point share it so a
-// supervised sweep measures exactly what the classic one does.
+// Characterize, CharacterizeShards and CharacterizeLevel share it so
+// every path measures the same sweep.
 func normalizeCharacterize(cfg CharacterizeConfig) (CharacterizeConfig, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -144,7 +143,6 @@ func CharacterizeLevelKey(level int) string {
 // CharacterizeLevel measures a single activation level on its own
 // freshly wired board, exactly as one shard of the parallel sweep:
 // seed should be runner.ShardSeed(cfg.Seed, CharacterizeLevelKey(level)).
-// It is the per-shard unit the supervised job engine checkpoints.
 func CharacterizeLevel(cfg CharacterizeConfig, seed int64, level int) (LevelReading, error) {
 	cfg, err := normalizeCharacterize(cfg)
 	if err != nil {
@@ -153,11 +151,39 @@ func CharacterizeLevel(cfg CharacterizeConfig, seed int64, level int) (LevelRead
 	if level < 0 || level >= cfg.Levels {
 		return LevelReading{}, fmt.Errorf("core: level %d outside sweep of %d levels", level, cfg.Levels)
 	}
+	return measureOneLevel(cfg, seed, level)
+}
+
+// measureOneLevel wires a board for cfg (already normalized) and
+// measures one level on it.
+func measureOneLevel(cfg CharacterizeConfig, seed int64, level int) (LevelReading, error) {
 	rig, err := newCharacterizeRig(cfg, seed)
 	if err != nil {
 		return LevelReading{}, err
 	}
 	return rig.measureLevel(level)
+}
+
+// CharacterizeShards is the sharded Fig. 2 sweep: one shard per
+// activation level, keyed CharacterizeLevelKey(level) in level order,
+// each measuring its level on a fresh board seeded from the shard seed.
+// Building the list wires no board. It is the one shard definition both
+// Characterize (Parallelism >= 1) and the supervised job engine run.
+func CharacterizeShards(cfg CharacterizeConfig) ([]runner.Shard[LevelReading], error) {
+	cfg, err := normalizeCharacterize(cfg)
+	if err != nil {
+		return nil, err
+	}
+	shards := make([]runner.Shard[LevelReading], cfg.Levels)
+	for level := range shards {
+		shards[level] = runner.Shard[LevelReading]{
+			Key: CharacterizeLevelKey(level),
+			Run: func(ctx context.Context, info runner.Info) (LevelReading, error) {
+				return measureOneLevel(cfg, info.Seed, level)
+			},
+		}
+	}
+	return shards, nil
 }
 
 // FitCharacterize aggregates per-level readings (in level order) into
@@ -176,52 +202,28 @@ func Characterize(cfg CharacterizeConfig) (*CharacterizeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
+	if cfg.Parallelism >= 1 {
+		shards, err := CharacterizeShards(cfg)
+		if err != nil {
+			return nil, err
+		}
+		readings, err := runShards("characterize", cfg.Seed, cfg.Parallelism, shards)
+		if err != nil {
+			return nil, err
+		}
+		return fitCharacterize(readings)
+	}
+	// Classic protocol: one board carries the whole sweep, levels
+	// measured back to back.
+	rig, err := newCharacterizeRig(cfg, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
 	readings := make([]LevelReading, cfg.Levels)
-	if cfg.Parallelism == 0 {
-		// Classic protocol: one board carries the whole sweep, levels
-		// measured back to back.
-		rig, err := newCharacterizeRig(cfg, cfg.Seed)
-		if err != nil {
+	for level := range readings {
+		if readings[level], err = rig.measureLevel(level); err != nil {
 			return nil, err
 		}
-		for level := 0; level < cfg.Levels; level++ {
-			r, err := rig.measureLevel(level)
-			if err != nil {
-				return nil, err
-			}
-			readings[level] = r
-		}
-	} else {
-		// Sharded protocol: one shard per level, each on its own board
-		// seeded from the campaign seed and the level key, so the sweep
-		// parallelizes without any cross-level state.
-		shards := make([]runner.Shard[LevelReading], cfg.Levels)
-		for level := 0; level < cfg.Levels; level++ {
-			level := level
-			shards[level] = runner.Shard[LevelReading]{
-				Key: CharacterizeLevelKey(level),
-				Run: func(ctx context.Context, info runner.Info) (LevelReading, error) {
-					rig, err := newCharacterizeRig(cfg, info.Seed)
-					if err != nil {
-						return LevelReading{}, err
-					}
-					return rig.measureLevel(level)
-				},
-			}
-		}
-		results, err := runner.Run(context.Background(), runner.Config{
-			Name:    "characterize",
-			Seed:    cfg.Seed,
-			Workers: cfg.Parallelism,
-		}, shards)
-		if err != nil {
-			return nil, err
-		}
-		if err := runner.FirstErr(results); err != nil {
-			return nil, err
-		}
-		readings = runner.Values(results)
 	}
 	return fitCharacterize(readings)
 }

@@ -18,6 +18,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -25,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/hwmon"
+	"repro/internal/runner"
 	"repro/internal/sysfs"
 	"repro/internal/trace"
 )
@@ -164,4 +166,22 @@ func (a *Attacker) NewRecorder(ch Channel, interval time.Duration) (*trace.Recor
 		return nil, err
 	}
 	return trace.NewRecorder(interval, probe)
+}
+
+// runShards runs one campaign's shards on workers (zero means
+// GOMAXPROCS) and returns their values in submission order, or the
+// first shard failure.
+func runShards[T any](name string, seed int64, workers int, shards []runner.Shard[T]) ([]T, error) {
+	results, err := runner.Run(context.Background(), runner.Config{
+		Name:    name,
+		Seed:    seed,
+		Workers: workers,
+	}, shards)
+	if err != nil {
+		return nil, err
+	}
+	if err := runner.FirstErr(results); err != nil {
+		return nil, err
+	}
+	return runner.Values(results), nil
 }

@@ -175,7 +175,6 @@ func CovertTransmit(cfg CovertConfig) (*CovertResult, error) {
 	}
 	shards := make([]runner.Shard[*CovertResult], len(chunks))
 	for i, bits := range chunks {
-		bits := bits
 		shards[i] = runner.Shard[*CovertResult]{
 			Key: fmt.Sprintf("covert/chunk/%d", i),
 			Run: func(ctx context.Context, info runner.Info) (*CovertResult, error) {
@@ -183,19 +182,12 @@ func CovertTransmit(cfg CovertConfig) (*CovertResult, error) {
 			},
 		}
 	}
-	results, err := runner.Run(context.Background(), runner.Config{
-		Name:    "covert",
-		Seed:    cfg.Seed,
-		Workers: cfg.Parallelism,
-	}, shards)
+	chunkResults, err := runShards("covert", cfg.Seed, cfg.Parallelism, shards)
 	if err != nil {
 		return nil, err
 	}
-	if err := runner.FirstErr(results); err != nil {
-		return nil, err
-	}
 	agg := &CovertResult{}
-	for _, r := range runner.Values(results) {
+	for _, r := range chunkResults {
 		agg.BitsSent += r.BitsSent
 		agg.BitErrors += r.BitErrors
 		agg.SymbolPeriod = r.SymbolPeriod

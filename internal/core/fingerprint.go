@@ -164,7 +164,6 @@ func CollectDPUTraces(cfg FingerprintConfig) ([]*Capture, error) {
 			return nil, err
 		}
 		for r := 0; r < cfg.TracesPerModel; r++ {
-			m, r := m, r
 			shards = append(shards, runner.Shard[*Capture]{
 				// The key matches captureSeed's "model/rep" derivation, so
 				// the shard seed the runner hands back is exactly the seed
@@ -178,18 +177,7 @@ func CollectDPUTraces(cfg FingerprintConfig) ([]*Capture, error) {
 	}
 	obs.Eventf("collect: %d captures (%d models x %d reps) starting",
 		len(shards), len(cfg.Models), cfg.TracesPerModel)
-	results, err := runner.Run(context.Background(), runner.Config{
-		Name:    "collect",
-		Seed:    cfg.Seed,
-		Workers: cfg.Parallelism,
-	}, shards)
-	if err != nil {
-		return nil, err
-	}
-	if err := runner.FirstErr(results); err != nil {
-		return nil, err
-	}
-	return runner.Values(results), nil
+	return runShards("collect", cfg.Seed, cfg.Parallelism, shards)
 }
 
 // captureSeed derives a deterministic per-capture seed from the
@@ -405,7 +393,6 @@ func EvaluateCaptures(cfg FingerprintConfig, captures []*Capture) (*FingerprintR
 	obs.Eventf("evaluate: %d (channel,duration) cells starting", len(cells))
 	shards := make([]runner.Shard[AccuracyCell], len(cells))
 	for i, c := range cells {
-		c := c
 		shards[i] = runner.Shard[AccuracyCell]{
 			// evaluateCell re-derives this same key's seed internally via
 			// captureSeed, so cell outcomes are independent of scheduling.
@@ -415,18 +402,10 @@ func EvaluateCaptures(cfg FingerprintConfig, captures []*Capture) (*FingerprintR
 			},
 		}
 	}
-	results, err := runner.Run(context.Background(), runner.Config{
-		Name:    "evaluate",
-		Seed:    cfg.Seed,
-		Workers: cfg.Parallelism,
-	}, shards)
+	out, err := runShards("evaluate", cfg.Seed, cfg.Parallelism, shards)
 	if err != nil {
 		return nil, err
 	}
-	if err := runner.FirstErr(results); err != nil {
-		return nil, err
-	}
-	out := runner.Values(results)
 	classes := map[string]bool{}
 	for _, c := range captures {
 		classes[c.Model] = true

@@ -165,6 +165,24 @@ func Preset(name string) (Profile, error) {
 	return p, nil
 }
 
+// Resolve returns the named preset scaled by intensity, or nil when
+// the result injects nothing (the "none" preset, or intensity 0). It is
+// the one place a profile name and intensity become the *Profile a
+// board config takes.
+func Resolve(name string, intensity float64) (*Profile, error) {
+	p, err := Preset(name)
+	if err != nil {
+		return nil, err
+	}
+	if p, err = p.Scale(intensity); err != nil {
+		return nil, err
+	}
+	if !p.Enabled() {
+		return nil, nil
+	}
+	return &p, nil
+}
+
 // PresetNames returns the preset names in lexical order.
 func PresetNames() []string {
 	names := make([]string, 0, len(presets))

@@ -218,3 +218,36 @@ func TestRegulatorDisturbanceDecays(t *testing.T) {
 		t.Error("zero profile returned a disturbance hook")
 	}
 }
+
+func TestResolve(t *testing.T) {
+	cases := []struct {
+		name      string
+		intensity float64
+		wantNil   bool
+		wantErr   bool
+	}{
+		{name: "none", intensity: 1, wantNil: true},
+		{name: "hostile", intensity: 0, wantNil: true},
+		{name: "hostile", intensity: 0.5},
+		{name: "flaky-sysfs", intensity: 1},
+		{name: "hostile", intensity: -1, wantErr: true},
+		{name: "no-such-profile", intensity: 1, wantErr: true},
+	}
+	for _, tc := range cases {
+		p, err := Resolve(tc.name, tc.intensity)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("Resolve(%q, %v) error = %v, want error %v", tc.name, tc.intensity, err, tc.wantErr)
+			continue
+		}
+		if tc.wantErr {
+			continue
+		}
+		if (p == nil) != tc.wantNil {
+			t.Errorf("Resolve(%q, %v) = %+v, want nil %v", tc.name, tc.intensity, p, tc.wantNil)
+			continue
+		}
+		if p != nil && p.Name != tc.name {
+			t.Errorf("Resolve(%q, %v).Name = %q", tc.name, tc.intensity, p.Name)
+		}
+	}
+}

@@ -1,12 +1,12 @@
-// Package kinds registers the experiment types the supervised job
-// engine can run. A Kind adapts one core experiment to the engine's
-// shard protocol: Plan expands a job spec into the deterministic shard
-// key list, Shard executes one key (its Info.Seed already derived by
+// Package kinds names the experiment types the supervised job engine
+// can run. A Kind adapts one core experiment to the engine's shard
+// protocol: Plan expands a job spec into the deterministic shard key
+// list, Shard executes one key (its Info.Seed already derived by
 // runner.ShardSeed exactly as the direct experiment paths derive it),
 // and Aggregate folds the completed shard records back into the
-// experiment's result type. The adapters reuse the experiments'
-// exported per-shard units, so a supervised run measures bit-identical
-// values to a one-shot run of the same seed.
+// experiment's result type. Plan and Shard read the experiment's shard
+// list from core — the same list the direct path runs — so a supervised
+// run measures bit-identical values to a one-shot run of the same seed.
 package kinds
 
 import (
@@ -15,10 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
-	"repro/internal/board"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/jobs"
@@ -42,17 +40,9 @@ type Kind struct {
 	Aggregate func(spec jobs.Spec, out *jobs.Outcome) (any, error)
 }
 
-var registry = map[string]Kind{}
-
-// Register adds a kind; duplicate names panic at init time.
-func Register(k Kind) {
-	if k.Name == "" || k.Plan == nil || k.Shard == nil || k.Aggregate == nil {
-		panic("kinds: incomplete kind registration")
-	}
-	if _, dup := registry[k.Name]; dup {
-		panic("kinds: duplicate kind " + k.Name)
-	}
-	registry[k.Name] = k
+var registry = map[string]Kind{
+	"characterize":  sharded("characterize", characterizeShards, fitCharacterize),
+	"applicability": sharded("applicability", applicabilityShards, surveyRows),
 }
 
 // Lookup returns a registered kind.
@@ -74,25 +64,80 @@ func Names() []string {
 	return names
 }
 
-// specFaults builds the fault profile a spec describes, or nil for
-// none.
-func specFaults(spec jobs.Spec) (*faults.Profile, error) {
-	if spec.FaultProfile == "" || spec.FaultProfile == "none" {
-		return nil, nil
+// sharded adapts an experiment's core shard list to a Kind: Plan is the
+// list's keys, Shard runs the entry with the requested key, and
+// Aggregate decodes the surviving shard records, in plan order, for
+// reduce.
+func sharded[T any](name string, shards func(jobs.Spec) ([]runner.Shard[T], error), reduce func([]T) (any, error)) Kind {
+	return Kind{
+		Name: name,
+		Plan: func(spec jobs.Spec) ([]string, error) {
+			list, err := shards(spec)
+			if err != nil {
+				return nil, err
+			}
+			keys := make([]string, len(list))
+			for i, s := range list {
+				keys[i] = s.Key
+			}
+			return keys, nil
+		},
+		Shard: func(ctx context.Context, spec jobs.Spec, info runner.Info) (json.RawMessage, error) {
+			list, err := shards(spec)
+			if err != nil {
+				return nil, err
+			}
+			for _, s := range list {
+				if s.Key == info.Key {
+					v, err := s.Run(ctx, info)
+					if err != nil {
+						return nil, err
+					}
+					return json.Marshal(v)
+				}
+			}
+			return nil, fmt.Errorf("kinds: %s has no shard %q", name, info.Key)
+		},
+		Aggregate: func(spec jobs.Spec, out *jobs.Outcome) (any, error) {
+			values := make([]T, 0, len(out.Results))
+			for _, key := range out.Keys {
+				data, ok := out.Results[key]
+				if !ok {
+					continue // quarantined shard: reduce what survived
+				}
+				var v T
+				if err := json.Unmarshal(data, &v); err != nil {
+					return nil, fmt.Errorf("kinds: shard %s record: %w", key, err)
+				}
+				values = append(values, v)
+			}
+			return reduce(values)
+		},
 	}
-	p, err := faults.Preset(spec.FaultProfile)
-	if err != nil {
-		return nil, err
+}
+
+// specFaults builds the fault profile a spec describes, or nil for
+// none. On the wire an unset intensity means the profile as defined.
+func specFaults(spec jobs.Spec) (*faults.Profile, error) {
+	if spec.FaultProfile == "" {
+		return nil, nil
 	}
 	intensity := spec.FaultIntensity
 	if intensity == 0 {
 		intensity = 1
 	}
-	p, err = p.Scale(intensity)
-	if err != nil {
-		return nil, err
+	return faults.Resolve(spec.FaultProfile, intensity)
+}
+
+// decodeConfig unmarshals spec.Config, when present, into dst.
+func decodeConfig(spec jobs.Spec, dst any) error {
+	if len(spec.Config) == 0 {
+		return nil
 	}
-	return &p, nil
+	if err := json.Unmarshal(spec.Config, dst); err != nil {
+		return fmt.Errorf("kinds: %s config: %w", spec.Kind, err)
+	}
+	return nil
 }
 
 // ---- characterize ----
@@ -107,93 +152,27 @@ type CharacterizeJobConfig struct {
 	DisableStabilizer bool `json:"disable_stabilizer,omitempty"`
 }
 
-func characterizeCore(spec jobs.Spec) (core.CharacterizeConfig, error) {
+func characterizeShards(spec jobs.Spec) ([]runner.Shard[core.LevelReading], error) {
 	var jc CharacterizeJobConfig
-	if len(spec.Config) > 0 {
-		if err := json.Unmarshal(spec.Config, &jc); err != nil {
-			return core.CharacterizeConfig{}, fmt.Errorf("kinds: characterize config: %w", err)
-		}
+	if err := decodeConfig(spec, &jc); err != nil {
+		return nil, err
 	}
 	fp, err := specFaults(spec)
 	if err != nil {
-		return core.CharacterizeConfig{}, err
+		return nil, err
 	}
-	return core.CharacterizeConfig{
+	return core.CharacterizeShards(core.CharacterizeConfig{
 		Seed:              spec.Seed,
 		Levels:            jc.Levels,
 		SamplesPerLevel:   jc.SamplesPerLevel,
 		WarmupUpdates:     jc.WarmupUpdates,
 		DisableStabilizer: jc.DisableStabilizer,
 		Faults:            fp,
-	}, nil
+	})
 }
 
-// levelFromKey recovers the activation level from a characterize shard
-// key ("characterize/level/N").
-func levelFromKey(key string) (int, error) {
-	i := strings.LastIndexByte(key, '/')
-	if i < 0 {
-		return 0, fmt.Errorf("kinds: malformed characterize key %q", key)
-	}
-	level, err := strconv.Atoi(key[i+1:])
-	if err != nil {
-		return 0, fmt.Errorf("kinds: malformed characterize key %q: %w", key, err)
-	}
-	return level, nil
-}
-
-func characterizeKind() Kind {
-	return Kind{
-		Name: "characterize",
-		Plan: func(spec jobs.Spec) ([]string, error) {
-			ccfg, err := characterizeCore(spec)
-			if err != nil {
-				return nil, err
-			}
-			levels := ccfg.Levels
-			if levels == 0 {
-				levels = core.DefaultCharacterizeLevels
-			}
-			if levels < 2 {
-				return nil, errors.New("kinds: need at least two levels")
-			}
-			keys := make([]string, levels)
-			for level := 0; level < levels; level++ {
-				keys[level] = core.CharacterizeLevelKey(level)
-			}
-			return keys, nil
-		},
-		Shard: func(ctx context.Context, spec jobs.Spec, info runner.Info) (json.RawMessage, error) {
-			ccfg, err := characterizeCore(spec)
-			if err != nil {
-				return nil, err
-			}
-			level, err := levelFromKey(info.Key)
-			if err != nil {
-				return nil, err
-			}
-			reading, err := core.CharacterizeLevel(ccfg, info.Seed, level)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(reading)
-		},
-		Aggregate: func(spec jobs.Spec, out *jobs.Outcome) (any, error) {
-			readings := make([]core.LevelReading, 0, len(out.Results))
-			for _, key := range out.Keys {
-				data, ok := out.Results[key]
-				if !ok {
-					continue // quarantined level: fit what survived
-				}
-				var r core.LevelReading
-				if err := json.Unmarshal(data, &r); err != nil {
-					return nil, fmt.Errorf("kinds: shard %s record: %w", key, err)
-				}
-				readings = append(readings, r)
-			}
-			return core.FitCharacterize(readings)
-		},
-	}
+func fitCharacterize(readings []core.LevelReading) (any, error) {
+	return core.FitCharacterize(readings)
 }
 
 // ---- applicability ----
@@ -205,70 +184,26 @@ type ApplicabilityJobConfig struct {
 	SamplesPerLevel int `json:"samples_per_level,omitempty"`
 }
 
-func applicabilityCore(spec jobs.Spec) (core.ApplicabilityConfig, error) {
+func applicabilityShards(spec jobs.Spec) ([]runner.Shard[core.BoardApplicability], error) {
 	var jc ApplicabilityJobConfig
-	if len(spec.Config) > 0 {
-		if err := json.Unmarshal(spec.Config, &jc); err != nil {
-			return core.ApplicabilityConfig{}, fmt.Errorf("kinds: applicability config: %w", err)
-		}
+	if err := decodeConfig(spec, &jc); err != nil {
+		return nil, err
 	}
 	fp, err := specFaults(spec)
 	if err != nil {
-		return core.ApplicabilityConfig{}, err
+		return nil, err
 	}
-	return core.ApplicabilityConfig{
+	return core.ApplicabilityShards(core.ApplicabilityConfig{
 		Seed:            spec.Seed,
 		Levels:          jc.Levels,
 		SamplesPerLevel: jc.SamplesPerLevel,
 		Faults:          fp,
-	}, nil
+	})
 }
 
-func applicabilityKind() Kind {
-	return Kind{
-		Name: "applicability",
-		Plan: func(spec jobs.Spec) ([]string, error) {
-			catalog := board.Catalog()
-			keys := make([]string, len(catalog))
-			for i, bs := range catalog {
-				keys[i] = "applicability/" + bs.Name
-			}
-			return keys, nil
-		},
-		Shard: func(ctx context.Context, spec jobs.Spec, info runner.Info) (json.RawMessage, error) {
-			acfg, err := applicabilityCore(spec)
-			if err != nil {
-				return nil, err
-			}
-			name := strings.TrimPrefix(info.Key, "applicability/")
-			row, err := core.ApplicabilityBoard(ctx, acfg, name)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(row)
-		},
-		Aggregate: func(spec jobs.Spec, out *jobs.Outcome) (any, error) {
-			rows := make([]core.BoardApplicability, 0, len(out.Results))
-			for _, key := range out.Keys {
-				data, ok := out.Results[key]
-				if !ok {
-					continue // quarantined board: the survey degrades to the rest
-				}
-				var row core.BoardApplicability
-				if err := json.Unmarshal(data, &row); err != nil {
-					return nil, fmt.Errorf("kinds: shard %s record: %w", key, err)
-				}
-				rows = append(rows, row)
-			}
-			if len(rows) == 0 {
-				return nil, errors.New("kinds: every applicability board quarantined")
-			}
-			return rows, nil
-		},
+func surveyRows(rows []core.BoardApplicability) (any, error) {
+	if len(rows) == 0 {
+		return nil, errors.New("kinds: every applicability board quarantined")
 	}
-}
-
-func init() {
-	Register(characterizeKind())
-	Register(applicabilityKind())
+	return rows, nil
 }

@@ -88,34 +88,6 @@ func pass(window string, observed, threshold float64) Verdict {
 	return Verdict{OK: true, Window: window, Observed: observed, Threshold: threshold}
 }
 
-// CounterRateRule fails when the named counter grows faster than
-// maxPerSec, measured between consecutive evaluations (wall clock).
-func CounterRateRule(name, counter string, maxPerSec float64) Rule {
-	return Rule{Name: name, Eval: func(in EvalInput) Verdict {
-		if !in.HasPrev {
-			return pass("instant", 0, maxPerSec)
-		}
-		dt := in.Cur.TakenAt.Sub(in.Prev.TakenAt).Seconds()
-		if dt <= 0 {
-			return pass("instant", 0, maxPerSec)
-		}
-		rate := float64(in.Cur.Counter(counter)-in.Prev.Counter(counter)) / dt
-		if rate > maxPerSec {
-			return fail("instant", rate, maxPerSec, "%s rate %.1f/s exceeds %.1f/s", counter, rate, maxPerSec)
-		}
-		return pass("instant", rate, maxPerSec)
-	}}
-}
-
-// RatioRule fails when cumulative num/den exceeds max (den==0 never
-// fails). Prefer WindowedRatioRule for long-running processes — a
-// cumulative ratio never forgets a transient burst.
-func RatioRule(name, num, den string, max float64) Rule {
-	return Rule{Name: name, Eval: func(in EvalInput) Verdict {
-		return ratioVerdict("cumulative", float64(in.Cur.Counter(num)), float64(in.Cur.Counter(den)), num, den, max)
-	}}
-}
-
 // DefaultHealthWindows is how many sampling intervals windowed default
 // rules look back over.
 const DefaultHealthWindows = 10

@@ -10,8 +10,10 @@ import (
 	"time"
 )
 
+// TestRatioRule pins the cumulative ratio judgement, which
+// WindowedRatioRule falls back to when no history recorder runs.
 func TestRatioRule(t *testing.T) {
-	rule := RatioRule("gap_ratio", "gaps", "samples", 0.5)
+	rule := WindowedRatioRule("gap_ratio", "gaps", "samples", 0.5, 5)
 	cur := Snapshot{Counters: map[string]int64{"gaps": 3, "samples": 10}}
 	if v := rule.Eval(EvalInput{Cur: cur, HasPrev: true}); !v.OK {
 		t.Fatal("30% gaps flagged at a 50% threshold")
@@ -30,24 +32,6 @@ func TestRatioRule(t *testing.T) {
 	// Zero denominator: no data is not a violation.
 	if v := rule.Eval(EvalInput{Cur: Snapshot{Counters: map[string]int64{"gaps": 5}}, HasPrev: true}); !v.OK {
 		t.Fatal("zero denominator flagged")
-	}
-}
-
-func TestCounterRateRule(t *testing.T) {
-	rule := CounterRateRule("gap_rate", "gaps", 10)
-	t0 := time.Now()
-	prev := Snapshot{TakenAt: t0, Counters: map[string]int64{"gaps": 0}}
-	cur := Snapshot{TakenAt: t0.Add(time.Second), Counters: map[string]int64{"gaps": 5}}
-	// First evaluation has no window: always ok.
-	if v := rule.Eval(EvalInput{Cur: cur}); !v.OK {
-		t.Fatal("first evaluation flagged without a window")
-	}
-	if v := rule.Eval(EvalInput{Prev: prev, Cur: cur, HasPrev: true}); !v.OK {
-		t.Fatal("5/s flagged at a 10/s threshold")
-	}
-	cur.Counters["gaps"] = 50
-	if v := rule.Eval(EvalInput{Prev: prev, Cur: cur, HasPrev: true}); v.OK {
-		t.Fatal("50/s passed a 10/s threshold")
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package resilience is the generic protection toolkit under the
 // supervised job engine: a circuit breaker for flaky dependencies, a
-// token-bucket rate limiter, a semaphore-based admission controller
-// with a bounded wait queue and load shedding, and per-request
-// deadline budgets that propagate through context.
+// token-bucket rate limiter, and a semaphore-based admission
+// controller with a bounded wait queue and load shedding.
 //
 // Everything in the package is clock-agnostic: components take a
 // Now func() time.Duration instead of reading the wall clock, so the

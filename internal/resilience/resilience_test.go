@@ -322,75 +322,3 @@ func TestAdmissionValidation(t *testing.T) {
 		t.Fatal("negative queue accepted")
 	}
 }
-
-func TestBudgetPropagatesAndShrinks(t *testing.T) {
-	if _, ok := Remaining(context.Background()); ok {
-		t.Fatal("background context reports a budget")
-	}
-	ctx, cancel := WithBudget(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	left, ok := Remaining(ctx)
-	if !ok {
-		t.Fatal("budgeted context reports no budget")
-	}
-	if left <= 0 || left > 100*time.Millisecond {
-		t.Fatalf("remaining = %v, want (0, 100ms]", left)
-	}
-	// A child asking for more than the parent has is clamped.
-	child, cancel2 := WithBudget(ctx, time.Hour)
-	defer cancel2()
-	childLeft, _ := Remaining(child)
-	if childLeft > 100*time.Millisecond {
-		t.Fatalf("child budget %v exceeds parent's", childLeft)
-	}
-	dl, ok := child.Deadline()
-	if !ok {
-		t.Fatal("budgeted context carries no deadline")
-	}
-	if until := time.Until(dl); until > 100*time.Millisecond {
-		t.Fatalf("child deadline %v further than parent budget", until)
-	}
-}
-
-func TestBudgetSplit(t *testing.T) {
-	// Split on an unbudgeted context is a no-op.
-	ctx, cancel := Split(context.Background(), 0.5)
-	cancel()
-	if _, ok := Remaining(ctx); ok {
-		t.Fatal("split of unbudgeted context created a budget")
-	}
-	parent, cancel := WithBudget(context.Background(), time.Second)
-	defer cancel()
-	half, cancel2 := Split(parent, 0.5)
-	defer cancel2()
-	left, ok := Remaining(half)
-	if !ok {
-		t.Fatal("split context lost its budget")
-	}
-	if left > 600*time.Millisecond {
-		t.Fatalf("split remaining = %v, want about half of 1s", left)
-	}
-	// Out-of-range fractions clamp rather than explode.
-	over, cancel3 := Split(parent, 2)
-	defer cancel3()
-	if overLeft, _ := Remaining(over); overLeft > time.Second {
-		t.Fatalf("frac>1 split grew the budget to %v", overLeft)
-	}
-	zero, cancel4 := Split(parent, 0)
-	cancel4()
-	if _, ok := Remaining(zero); !ok {
-		t.Fatal("frac<=0 split should return the parent unchanged (still budgeted)")
-	}
-}
-
-func TestBudgetExpiry(t *testing.T) {
-	ctx, cancel := WithBudget(context.Background(), time.Nanosecond)
-	defer cancel()
-	time.Sleep(2 * time.Millisecond)
-	if left, ok := Remaining(ctx); !ok || left != 0 {
-		t.Fatalf("expired budget reports (%v, %v), want (0, true)", left, ok)
-	}
-	if ctx.Err() == nil {
-		t.Fatal("expired budget context not cancelled")
-	}
-}
