@@ -1,6 +1,7 @@
 package dpu
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -74,6 +75,25 @@ func TestZooWorkloadsAreRealistic(t *testing.T) {
 func TestZooModelLookupError(t *testing.T) {
 	if _, err := ZooModel("NoSuchNet"); err == nil {
 		t.Fatal("unknown model accepted")
+	}
+}
+
+// TestZooModelMatchesZoo: looking a model up by name builds the same
+// model as Zoo, fresh on every call, so concurrent captures of one model
+// share no memory.
+func TestZooModelMatchesZoo(t *testing.T) {
+	for i, want := range Zoo() {
+		a, err := ZooModel(want.Name)
+		if err != nil {
+			t.Fatalf("Zoo()[%d]: ZooModel(%q): %v", i, want.Name, err)
+		}
+		if !reflect.DeepEqual(a, want) {
+			t.Errorf("Zoo()[%d]: ZooModel(%q) differs from the zoo's model", i, want.Name)
+		}
+		b, _ := ZooModel(want.Name)
+		if a == b || &a.Layers[0] == &b.Layers[0] {
+			t.Errorf("ZooModel(%q): two calls share memory", want.Name)
+		}
 	}
 }
 

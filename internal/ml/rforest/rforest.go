@@ -159,11 +159,29 @@ type builder struct {
 	spill   []int     // right-hand side of the partition in progress
 	feats   []int     // candidate-feature permutation
 	keys    []uint64  // rank<<32 | label, one per sample at the node
+	cnt     []int     // per-rank counts, then slots, of the counting sort
 	hist    []float64 // class counts at the node
 	left    []float64 // class counts left of a candidate split
 	right   []float64 // class counts right of a candidate split
 	present []int32   // classes with a non-zero count at the node, ascending
+	margin  float64   // screening margin of bestSplit; +Inf turns screening off
 }
+
+// screenMargin is how far the exact-integer Gini proxy of bestSplit must
+// lie above the best impurity so far before the float Gini is skipped.
+//
+// Both the proxy q = 1 − (sl/nl + sr/nr)/n and the float Gini g of a
+// split approximate the same rational G = 1 − (Σl²/nl + Σr²/nr)/n. The
+// sums of squares sl = Σl² and sr = Σr² are exact while rows² < 2^53,
+// so q is five roundings from G (two divisions, the addition, the
+// division by n and the subtraction from 1): |q − G| ≤ 5u, u = 2^-53,
+// to first order in u. g sums K present classes in order:
+// |g − G| ≤ (K+6)u. A skip needs q > fl(best+margin) ≥ best + margin − u,
+// hence g > best + margin − (K+12)u ≥ best whenever (K+12)u ≤ margin,
+// which holds for K < 2^20 ((2^20+12)·2^-53 ≈ 1.2e-10 ≤ 1e-9). Such a position would fail the
+// g < best test anyway, so screening never moves a split. Train turns
+// screening off outside those limits.
+const screenMargin = 1e-9
 
 // newBuilder allocates the per-Train scratch and ranks every feature.
 func newBuilder(cfg Config, X [][]float64, Y []int, classes int) *builder {
@@ -177,10 +195,15 @@ func newBuilder(cfg Config, X [][]float64, Y []int, classes int) *builder {
 		spill:      make([]int, 0, rows),
 		feats:      make([]int, nFeat),
 		keys:       make([]uint64, rows),
+		cnt:        make([]int, rows),
+		margin:     screenMargin,
 		hist:       make([]float64, classes),
 		left:       make([]float64, classes),
 		right:      make([]float64, classes),
 		present:    make([]int32, 0, classes),
+	}
+	if float64(rows)*float64(rows) >= 1<<53 || classes >= 1<<20 {
+		b.margin = math.Inf(1)
 	}
 	order := make([]int, rows)
 	vals := make([]float64, 0, nFeat*rows)
@@ -295,6 +318,10 @@ func (b *builder) leaf(id int32, n int) {
 func (b *builder) bestSplit(idx []int) (feat int, thr float64, ok bool) {
 	n := float64(len(idx))
 	bestGini := math.Inf(1)
+	var sumSq float64 // Σ hist[c]², exact: see screenMargin
+	for _, c := range b.present {
+		sumSq += b.hist[c] * b.hist[c]
+	}
 
 	// Sample cfg.FeaturesPerSplit distinct features (partial shuffle).
 	perm(b.cfg.Rand, b.feats)
@@ -302,10 +329,10 @@ func (b *builder) bestSplit(idx []int) (feat int, thr float64, ok bool) {
 	last := len(keys) - 1
 	for _, f := range b.feats[:b.cfg.FeaturesPerSplit] {
 		rank := b.rank[f*b.rows : (f+1)*b.rows]
-		for i, s := range idx {
-			keys[i] = uint64(rank[s])<<32 | uint64(b.Y[s])
-		}
-		slices.Sort(keys)
+		// Group the keys by ascending rank. The order within a rank is
+		// free: the sweep below evaluates only between ranks, where the
+		// class counts and sums of squares do not depend on it.
+		b.countingSort(keys, idx, rank, len(b.vals[f]))
 		if keys[0]>>32 == keys[last]>>32 {
 			continue // constant at this node: no split position
 		}
@@ -313,17 +340,23 @@ func (b *builder) bestSplit(idx []int) (feat int, thr float64, ok bool) {
 			b.left[c] = 0
 			b.right[c] = b.hist[c]
 		}
+		sl, sr := 0.0, sumSq // Σ left[c]², Σ right[c]²
 		// Sweep split positions between distinct values.
 		for i := 0; i < last; i++ {
 			y := uint32(keys[i])
+			sl += 2*b.left[y] + 1
 			b.left[y]++
 			b.right[y]--
+			sr -= 2*b.right[y] + 1
 			r, next := keys[i]>>32, keys[i+1]>>32
 			if r == next {
 				continue
 			}
 			nl := float64(i + 1)
 			nr := n - nl
+			if 1-(sl/nl+sr/nr)/n > bestGini+b.margin {
+				continue // cannot beat bestGini: see screenMargin
+			}
 			g := nl/n*gini(b.left, b.present, nl) + nr/n*gini(b.right, b.present, nr)
 			if g < bestGini {
 				bestGini = g
@@ -334,6 +367,27 @@ func (b *builder) bestSplit(idx []int) (feat int, thr float64, ok bool) {
 		}
 	}
 	return feat, thr, ok
+}
+
+// countingSort fills keys with rank<<32 | label for the samples in idx,
+// grouped by ascending rank, in O(len(idx) + distinct) time.
+func (b *builder) countingSort(keys []uint64, idx []int, rank []uint32, distinct int) {
+	cnt := b.cnt[:distinct]
+	clear(cnt)
+	for _, s := range idx {
+		cnt[rank[s]]++
+	}
+	// Exclusive prefix sum: cnt[r] becomes the first slot of rank r.
+	sum := 0
+	for r, c := range cnt {
+		cnt[r] = sum
+		sum += c
+	}
+	for _, s := range idx {
+		r := rank[s]
+		keys[cnt[r]] = uint64(r)<<32 | uint64(b.Y[s])
+		cnt[r]++
+	}
 }
 
 // perm fills m with r.Perm(len(m)), making the identical sequence of
