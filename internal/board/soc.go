@@ -401,9 +401,12 @@ func Wire(spec Spec, cfg Config) (*SoC, error) {
 	for _, m := range miscRailsFor(spec) {
 		m := m
 		rng := eng.Stream("misc/" + m.label)
+		// The probe reads only its own stream and constants, so the
+		// sensor may defer it until read (ina226 observe-on-read).
 		if err := b.addSensor(cfg, m.label, psShuntOhms, ina226.Probe{
 			CurrentAmps: func() float64 { return m.amps + rng.NormFloat64()*0.001 },
 			BusVolts:    func() float64 { return m.volts },
+			Private:     true,
 		}); err != nil {
 			return nil, err
 		}

@@ -20,6 +20,24 @@
 // observes. The hwmon update interval is configurable between 2 and
 // 35 ms; the default is 35 ms and changing it requires root, both facts
 // the attack model depends on.
+//
+// # Observe-on-read
+//
+// A device whose probe reads only state the probe owns (Probe.Private)
+// is simulated lazily. Each tick only advances its window clock: the
+// pending tick count grows and, at every window boundary, the update
+// counter and the ina226.conversions counter advance exactly as an
+// eager conversion would advance them. The analog work (probe calls,
+// shunt/bus noise draws, integration and the register latch) is
+// replayed tick by tick, in the original order, only when something
+// observes the device: Read, the Reg* accessors, ReadRegister,
+// WriteRegister, Alert, SetUpdateInterval, SetFaults, or a Step with a
+// different dt. Because the probe and the noise stream are private,
+// the replay draws the same numbers in the same order as eager steps
+// would have, so every observation is bit-identical to eager
+// evaluation. Installing non-zero fault hooks makes a device eager for
+// good: fault hooks draw from streams at latch time, so faulted runs
+// keep the tick-by-tick path.
 package ina226
 
 import (
@@ -66,6 +84,13 @@ type Probe struct {
 	CurrentAmps func() float64
 	// BusVolts returns the instantaneous rail voltage in volts.
 	BusVolts func() float64
+	// Private declares that both functions read only state owned by
+	// the probe (its own random stream and constants), never shared
+	// simulation state such as a rail. The device may then defer the
+	// calls until it is observed (see "Observe-on-read" above); the
+	// values, and their order, are the same as if it called them on
+	// every tick. Config.Rand must then be this device's alone too.
+	Private bool
 }
 
 // Config describes one INA226 instance.
@@ -106,6 +131,13 @@ type Device struct {
 	accShunt float64 // volt-seconds across the shunt
 	accBus   float64 // volt-seconds on the bus
 	accTime  time.Duration
+
+	// Observe-on-read state (see the package doc). While lazy, pending
+	// ticks of lastDt are not yet integrated, and clk is the window
+	// clock at the present tick; accTime catches up to it on replay.
+	lazy    bool
+	pending int
+	clk     time.Duration
 
 	// latched registers
 	shuntReg   int32
@@ -174,6 +206,7 @@ func New(cfg Config) (*Device, error) {
 		nShunt:     cfg.NoiseShuntVolts,
 		nBus:       cfg.NoiseBusVolts,
 		configReg:  cfgDefault,
+		lazy:       cfg.Probe.Private,
 	}
 	d.encodeIntervalInConfig()
 	return d, nil
@@ -204,7 +237,15 @@ type FaultHooks struct {
 }
 
 // SetFaults installs the fault hooks; the zero FaultHooks removes them.
-func (d *Device) SetFaults(h FaultHooks) { d.faults = h }
+// Non-zero hooks make the device evaluate every tick eagerly from then
+// on, even after they are removed again.
+func (d *Device) SetFaults(h FaultHooks) {
+	d.catchUp()
+	if h.SkipLatch != nil || h.CorruptLatch != nil {
+		d.lazy = false
+	}
+	d.faults = h
+}
 
 // Label returns the board designator.
 func (d *Device) Label() string { return d.label }
@@ -233,6 +274,7 @@ func (d *Device) SetUpdateInterval(v time.Duration) error {
 		return fmt.Errorf("ina226 %s: update interval %v outside [%v,%v]",
 			d.label, v, MinUpdateInterval, MaxUpdateInterval)
 	}
+	d.catchUp()
 	d.interval = v
 	d.encodeIntervalInConfig()
 	return nil
@@ -261,8 +303,44 @@ func (d *Device) encodeIntervalInConfig() {
 func (d *Device) Updates() uint64 { return d.updates }
 
 // Step implements sim.Steppable: integrate the analog inputs and latch
-// the registers when the update window closes.
+// the registers when the update window closes. A lazy device only
+// advances its window clock and update count (see the package doc).
 func (d *Device) Step(now, dt time.Duration) {
+	if dt != d.lastDt {
+		d.catchUp()
+		d.lastDt, d.lastSec = dt, dt.Seconds()
+	}
+	if d.lazy {
+		d.pending++
+		d.clk += dt
+		if d.clk >= d.interval {
+			d.clk = 0
+			d.updates++
+			obsConversions.Inc()
+		}
+		return
+	}
+	d.integrate()
+	if d.accTime >= d.interval && d.latch() {
+		d.updates++
+		obsConversions.Inc()
+	}
+}
+
+// catchUp replays a lazy device's pending ticks: the same probe calls,
+// noise draws, integration and latches eager steps would have made.
+// The update count was advanced on the ticks themselves.
+func (d *Device) catchUp() {
+	for ; d.pending > 0; d.pending-- {
+		d.integrate()
+		if d.accTime >= d.interval {
+			d.latch()
+		}
+	}
+}
+
+// integrate adds one tick of lastDt of the analog inputs to the window.
+func (d *Device) integrate() {
 	vShunt := d.probe.CurrentAmps() * d.shuntOhms
 	vBus := d.probe.BusVolts()
 	if d.nShunt > 0 {
@@ -271,21 +349,17 @@ func (d *Device) Step(now, dt time.Duration) {
 	if d.nBus > 0 {
 		vBus += d.rng.NormFloat64() * d.nBus
 	}
-	if dt != d.lastDt {
-		d.lastDt, d.lastSec = dt, dt.Seconds()
-	}
 	sec := d.lastSec
 	d.accShunt += vShunt * sec
 	d.accBus += vBus * sec
-	d.accTime += dt
-	if d.accTime >= d.interval {
-		d.latch()
-	}
+	d.accTime += d.lastDt
 }
 
 // latch converts the averaged analog inputs to register values using the
-// datasheet pipeline and resets the integration window.
-func (d *Device) latch() {
+// datasheet pipeline and resets the integration window. It reports false
+// when a SkipLatch fault dropped the conversion; the caller counts the
+// update otherwise.
+func (d *Device) latch() bool {
 	window := d.accTime.Seconds()
 	meanShunt := d.accShunt / window
 	meanBus := d.accBus / window
@@ -295,7 +369,7 @@ func (d *Device) latch() {
 		// Stale-latch fault: the conversion result is lost; readers keep
 		// seeing the previous registers and update count for another
 		// whole interval.
-		return
+		return false
 	}
 
 	shunt := clampReg(math.Round(meanShunt / ShuntLSB))
@@ -319,9 +393,8 @@ func (d *Device) latch() {
 		shunt, bus, current, power = regs.Shunt, regs.Bus, regs.Current, regs.Power
 	}
 	d.shuntReg, d.busReg, d.currentReg, d.powerReg = shunt, bus, current, power
-	d.updates++
-	obsConversions.Inc()
 	d.evaluateAlert()
+	return true
 }
 
 func clampReg(v float64) int32 {
@@ -349,6 +422,7 @@ type Readings struct {
 
 // Read returns the currently latched measurements.
 func (d *Device) Read() Readings {
+	d.catchUp()
 	obsRegisterReads.Inc()
 	return Readings{
 		CurrentAmps: float64(d.currentReg) * d.currentLSB,
@@ -359,13 +433,25 @@ func (d *Device) Read() Readings {
 }
 
 // RegShunt returns the raw shunt-voltage register.
-func (d *Device) RegShunt() int32 { return d.shuntReg }
+func (d *Device) RegShunt() int32 {
+	d.catchUp()
+	return d.shuntReg
+}
 
 // RegBus returns the raw bus-voltage register.
-func (d *Device) RegBus() int32 { return d.busReg }
+func (d *Device) RegBus() int32 {
+	d.catchUp()
+	return d.busReg
+}
 
 // RegCurrent returns the raw current register.
-func (d *Device) RegCurrent() int32 { return d.currentReg }
+func (d *Device) RegCurrent() int32 {
+	d.catchUp()
+	return d.currentReg
+}
 
 // RegPower returns the raw power register.
-func (d *Device) RegPower() int32 { return d.powerReg }
+func (d *Device) RegPower() int32 {
+	d.catchUp()
+	return d.powerReg
+}

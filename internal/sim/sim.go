@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -52,7 +53,7 @@ type Engine struct {
 	// fingerprinting pipeline runs many boards in parallel); the ratio
 	// gauge is per-Run, last writer wins. Per-component step latencies
 	// are sampled every stepSampleEvery ticks so the instrumentation
-	// stays off the hot path.
+	// stays off the hot path, into one histogram per component kind.
 	tickCount   uint64
 	wallInRun   time.Duration
 	simInRun    time.Duration
@@ -64,16 +65,11 @@ type Engine struct {
 	obsStepHist []*obs.Histogram // parallel to parts
 }
 
-// stepSampleEvery is the tick sampling period for per-component step
-// latency histograms: one timed tick in every 128 keeps the overhead of
+// stepSampleEvery is the tick sampling period for the step latency
+// histograms: one timed tick in every 128 keeps the overhead of
 // the extra clock reads around a percent while still collecting
 // thousands of samples per multi-second experiment.
 const stepSampleEvery = 128
-
-// DefaultStep is the engine resolution used by the experiments: 100 µs,
-// fine enough to resolve the 2 ms minimum INA226 conversion window and
-// coarse enough to simulate multi-second traces quickly.
-const DefaultStep = 100 * time.Microsecond
 
 // NewEngine returns an engine with the given tick size and root seed.
 func NewEngine(dt time.Duration, seed int64) (*Engine, error) {
@@ -122,7 +118,11 @@ func (e *Engine) Register(name string, s Steppable) error {
 	}
 	e.names[name] = true
 	e.parts = append(e.parts, s)
-	e.obsStepHist = append(e.obsStepHist, obs.H("sim.step."+name))
+	// Components of one kind ("ina226" for "ina226/ina226_u79") share a
+	// step-latency histogram, so the metric set stays bounded however
+	// many boards and sensors a process wires.
+	kind, _, _ := strings.Cut(name, "/")
+	e.obsStepHist = append(e.obsStepHist, obs.H("sim.step."+kind))
 	return nil
 }
 

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestNewEngineValidation(t *testing.T) {
@@ -221,5 +224,24 @@ func TestRunProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestStepHistogramsFoldByKind(t *testing.T) {
+	e := MustNewEngine(time.Millisecond, 0)
+	noop := StepFunc(func(now, dt time.Duration) {})
+	e.MustRegister("kindtest/a", noop)
+	e.MustRegister("kindtest/b", noop)
+	e.MustRegister("kindtest", noop)
+	h := obs.H("sim.step.kindtest")
+	before := h.Count()
+	e.Run(stepSampleEvery * time.Millisecond)
+	if got := h.Count() - before; got != 3 {
+		t.Fatalf("sim.step.kindtest gained %d samples over one sampled tick of 3 components, want 3", got)
+	}
+	for name := range obs.Default.Snapshot().Histograms {
+		if strings.HasPrefix(name, "sim.step.kindtest/") {
+			t.Fatalf("per-instance step histogram %q registered", name)
+		}
 	}
 }
