@@ -29,7 +29,6 @@ func cmdTop(args []string, profile *faults.Profile) error {
 	interval := fs.Duration("interval", time.Second, "dashboard refresh interval")
 	once := fs.Bool("once", false, "render a single frame and exit (no ANSI cursor control)")
 	seed := fs.Int64("seed", 1, "demo workload seed (in-process mode)")
-	histWindow := fs.Duration("history-window", 10*time.Second, "aggregate window of the sparkline hist lines (needs a -history server, or the global -history flag in-process)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -43,36 +42,18 @@ func cmdTop(args []string, profile *faults.Profile) error {
 		if !strings.Contains(base, "://") {
 			base = "http://" + base
 		}
-		// History is best-effort: a 501 (server without -history) turns
-		// the hist lines off for good; transient fetch errors skip one
-		// frame's history rather than killing the dashboard.
-		histDisabled := false
-		fetchHist := func() *top.History {
-			if histDisabled {
-				return nil
-			}
-			h, err := top.FetchHistory(ctx, base, top.HistorySeries, *histWindow, 0)
-			if errors.Is(err, top.ErrHistoryDisabled) {
-				histDisabled = true
-				return nil
-			}
-			if err != nil {
-				return nil
-			}
-			return h
-		}
 		if *once {
 			snap, err := top.FetchSnapshot(ctx, base)
 			if err != nil {
 				return err
 			}
-			return printFrame(snap, base, fetchHist())
+			return printFrame(snap, base)
 		}
 		sc := top.NewScreen(os.Stdout)
 		defer sc.Close()
 		var prev *obs.Snapshot
 		err := top.Stream(ctx, base, *interval, func(s obs.Snapshot) error {
-			sc.Draw(top.Frame(s, prev, top.Options{Source: base, History: fetchHist()}))
+			sc.Draw(top.Frame(s, prev, top.Options{Source: base}))
 			cp := s
 			prev = &cp
 			return nil
@@ -83,17 +64,11 @@ func cmdTop(args []string, profile *faults.Profile) error {
 		return err
 	}
 
-	// In-process mode reads history straight from the Default registry's
-	// recorder when the global -history flag started one; without it
-	// localHist returns nil and the dashboard renders historyless.
-	localHist := func() *top.History {
-		return top.HistoryFromRecorder(obs.Default.History(), top.HistorySeries, *histWindow, 0)
-	}
 	if *once {
 		if err := topDemo(ctx, *seed, profile); err != nil {
 			return err
 		}
-		return printFrame(obs.Default.Snapshot(), "in-process demo", localHist())
+		return printFrame(obs.Default.Snapshot(), "in-process demo")
 	}
 
 	// Live in-process mode: the demo runs in the background while the
@@ -106,7 +81,7 @@ func cmdTop(args []string, profile *faults.Profile) error {
 	defer sc.Close()
 	var prev *obs.Snapshot
 	draw := func(s obs.Snapshot) {
-		sc.Draw(top.Frame(s, prev, top.Options{Source: "in-process demo", History: localHist()}))
+		sc.Draw(top.Frame(s, prev, top.Options{Source: "in-process demo"}))
 		cp := s
 		prev = &cp
 	}
@@ -124,8 +99,8 @@ func cmdTop(args []string, profile *faults.Profile) error {
 }
 
 // printFrame renders one dashboard frame as plain text (for -once).
-func printFrame(s obs.Snapshot, source string, hist *top.History) error {
-	for _, l := range top.Frame(s, nil, top.Options{Source: source, History: hist}) {
+func printFrame(s obs.Snapshot, source string) error {
+	for _, l := range top.Frame(s, nil, top.Options{Source: source}) {
 		if _, err := fmt.Println(l); err != nil {
 			return err
 		}

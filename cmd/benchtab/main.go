@@ -88,7 +88,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 		os.Exit(2)
 	}
-	defer sess.Stop()
 	profile := sess.Profile
 
 	experiments := func(out io.Writer) error {

@@ -7,8 +7,6 @@
 //     # EOF terminator), and optionally require specific families.
 //   - SSE snapshots (/metrics/stream): read N frames and validate each
 //     embedded snapshot's invariants (-stream N).
-//   - History JSON (/metrics/range, /metrics/query): decode and run the
-//     schema validators (-range / -query).
 //
 // Usage:
 //
@@ -17,8 +15,6 @@
 //	metricscheck -require sim_ticks,core_sampler_samples FILE
 //	some-scraper | metricscheck -     # validate stdin
 //	metricscheck -stream 3 -url http://host:port
-//	curl -s '.../metrics/range?...' | metricscheck -range -
-//	metricscheck -query -url 'http://host:port/metrics/query?series=...&fn=rate'
 //
 // Exit status: 0 valid, 1 invalid or unreachable, 2 usage error.
 package main
@@ -44,23 +40,11 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress the summary line (errors still print)")
 	timeout := flag.Duration("timeout", 10*time.Second, "HTTP timeout for -url")
 	streamN := flag.Int("stream", 0, "read this many SSE frames from /metrics/stream and validate each snapshot")
-	rangeMode := flag.Bool("range", false, "validate a /metrics/range JSON response instead of an OpenMetrics exposition")
-	queryMode := flag.Bool("query", false, "validate a /metrics/query JSON response instead of an OpenMetrics exposition")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "metricscheck: "+format+"\n", args...)
 		os.Exit(1)
-	}
-	modes := 0
-	for _, on := range []bool{*streamN > 0, *rangeMode, *queryMode} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "metricscheck: -stream, -range and -query are mutually exclusive")
-		os.Exit(2)
 	}
 	if *streamN > 0 {
 		if *url == "" {
@@ -101,15 +85,8 @@ func main() {
 		defer f.Close()
 		in, src = f, flag.Arg(0)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: metricscheck [-url URL | FILE | -] [-require fam1,fam2] [-stream N | -range | -query]")
+		fmt.Fprintln(os.Stderr, "usage: metricscheck [-url URL | FILE | -] [-require fam1,fam2] [-stream N]")
 		os.Exit(2)
-	}
-
-	if *rangeMode || *queryMode {
-		if err := checkHistoryJSON(in, src, *rangeMode, *quiet); err != nil {
-			fail("%v", err)
-		}
-		return
 	}
 
 	e, err := openmetrics.Parse(in)
@@ -140,48 +117,6 @@ func main() {
 		fmt.Printf("%s: valid OpenMetrics exposition: %d families, %d samples\n",
 			src, len(e.Families), samples)
 	}
-}
-
-// checkHistoryJSON decodes a /metrics/range or /metrics/query response
-// and runs its schema validator.
-func checkHistoryJSON(in io.Reader, src string, isRange, quiet bool) error {
-	data, err := io.ReadAll(in)
-	if err != nil {
-		return fmt.Errorf("%s: %v", src, err)
-	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if isRange {
-		var rr obs.RangeResponse
-		if err := dec.Decode(&rr); err != nil {
-			return fmt.Errorf("%s: decoding range response: %v", src, err)
-		}
-		if err := rr.Validate(); err != nil {
-			return fmt.Errorf("%s: %v", src, err)
-		}
-		if !quiet {
-			points, windows := 0, 0
-			for _, sr := range rr.Series {
-				points += len(sr.Points)
-				windows += len(sr.Windows)
-			}
-			fmt.Printf("%s: valid range response: %d series, %d points, %d windows (%s clock)\n",
-				src, len(rr.Series), points, windows, rr.Clock)
-		}
-		return nil
-	}
-	var qr obs.QueryResponse
-	if err := dec.Decode(&qr); err != nil {
-		return fmt.Errorf("%s: decoding query response: %v", src, err)
-	}
-	if err := qr.Validate(); err != nil {
-		return fmt.Errorf("%s: %v", src, err)
-	}
-	if !quiet {
-		fmt.Printf("%s: valid query response: fn=%s series=%s, %d points over %d samples\n",
-			src, qr.Fn, qr.SeriesName, len(qr.Points), qr.Count)
-	}
-	return nil
 }
 
 // checkStream connects to baseURL's /metrics/stream SSE endpoint, reads

@@ -1,13 +1,11 @@
 // Package cliflags is the global-flag layer both command-line tools
-// share: -faults, -ledger, -trace-out, -log-level, -log-format,
-// -history and -history-interval. It registers and validates those
-// flags, sets up structured logging and the run ID, resolves the fault
-// profile, runs the history recorder, and at the end of a run writes
-// the trace timeline and appends the run manifest to the ledger.
+// share: -faults, -ledger, -trace-out, -log-level and -log-format. It
+// registers and validates those flags, sets up structured logging and
+// the run ID, resolves the fault profile, and at the end of a run
+// writes the trace timeline and appends the run manifest to the ledger.
 package cliflags
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -24,13 +22,11 @@ import (
 
 // Flags holds the shared global flag values.
 type Flags struct {
-	Faults          string
-	Ledger          string
-	TraceOut        string
-	LogLevel        string
-	LogFormat       string
-	History         bool
-	HistoryInterval time.Duration
+	Faults    string
+	Ledger    string
+	TraceOut  string
+	LogLevel  string
+	LogFormat string
 }
 
 // Register declares the flags on fs.
@@ -40,17 +36,6 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.TraceOut, "trace-out", "", "write a Chrome trace-event JSON timeline of the run (load in Perfetto)")
 	fs.StringVar(&f.LogLevel, "log-level", "warn", "structured log level: debug|info|warn|error")
 	fs.StringVar(&f.LogFormat, "log-format", "text", "structured log format: text|json")
-	fs.BoolVar(&f.History, "history", false, "record a metrics time series while the run executes (served on /metrics/range and /metrics/query; its lazily registered self-metrics stay out of the deterministic-counter gate)")
-	fs.DurationVar(&f.HistoryInterval, "history-interval", obs.DefaultHistoryInterval, "sampling interval of the -history recorder")
-}
-
-// ValidateHistory checks -history-interval, which only matters while
-// -history is on.
-func ValidateHistory(on bool, interval time.Duration) error {
-	if on && interval <= 0 {
-		return fmt.Errorf("-history-interval must be > 0 when -history is on (got %v)", interval)
-	}
-	return nil
 }
 
 // Session is one run of a tool under the global flags.
@@ -59,21 +44,16 @@ type Session struct {
 	// no fault.
 	Profile *faults.Profile
 
-	flags       Flags
-	intensity   float64
-	started     time.Time
-	stopHistory context.CancelFunc
+	flags     Flags
+	intensity float64
+	started   time.Time
 }
 
 // Start validates the flags, installs the stderr logger with run ID
-// "<label>-<pid>-<unix time>", resolves -faults scaled by intensity and
-// starts the -history recorder. An error is a usage error. Call Stop
-// when the run is over.
+// "<label>-<pid>-<unix time>" and resolves -faults scaled by intensity.
+// An error is a usage error.
 func (f *Flags) Start(label string, intensity float64) (*Session, error) {
-	if err := ValidateHistory(f.History, f.HistoryInterval); err != nil {
-		return nil, err
-	}
-	s := &Session{flags: *f, intensity: intensity, started: time.Now(), stopHistory: func() {}}
+	s := &Session{flags: *f, intensity: intensity, started: time.Now()}
 	if err := olog.Setup(f.LogLevel, f.LogFormat, os.Stderr); err != nil {
 		return nil, err
 	}
@@ -82,16 +62,8 @@ func (f *Flags) Start(label string, intensity float64) (*Session, error) {
 	if s.Profile, err = faults.Resolve(f.Faults, intensity); err != nil {
 		return nil, err
 	}
-	if f.History {
-		var ctx context.Context
-		ctx, s.stopHistory = context.WithCancel(context.Background())
-		obs.StartRecorder(ctx, obs.RecorderOptions{Interval: f.HistoryInterval})
-	}
 	return s, nil
 }
-
-// Stop ends the -history recorder.
-func (s *Session) Stop() { s.stopHistory() }
 
 // FaultSpec returns the fault profile name and intensity as job specs
 // and run manifests record them: empty and zero when no fault is

@@ -7,9 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/ledger"
 	"repro/internal/obs/olog"
 )
@@ -29,15 +27,12 @@ func start(t *testing.T, f *Flags, intensity float64) (*Session, error) {
 	t.Helper()
 	s, err := f.Start("test", intensity)
 	t.Cleanup(olog.Disable)
-	if s != nil {
-		t.Cleanup(s.Stop)
-	}
 	return s, err
 }
 
 func TestDefaults(t *testing.T) {
 	f := parse(t)
-	want := Flags{Faults: "none", LogLevel: "warn", LogFormat: "text", HistoryInterval: obs.DefaultHistoryInterval}
+	want := Flags{Faults: "none", LogLevel: "warn", LogFormat: "text"}
 	if *f != want {
 		t.Errorf("defaults = %+v, want %+v", *f, want)
 	}
@@ -48,7 +43,6 @@ func TestStartRejectsBadFlags(t *testing.T) {
 		args    []string
 		wantErr string
 	}{
-		{[]string{"-history", "-history-interval", "0"}, "-history-interval must be > 0"},
 		{[]string{"-log-level", "loud"}, "loud"},
 		{[]string{"-log-format", "xml"}, "xml"},
 		{[]string{"-faults", "no-such-profile"}, "unknown profile"},
@@ -58,9 +52,6 @@ func TestStartRejectsBadFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("Start with %v = %v, want error containing %q", tc.args, err, tc.wantErr)
 		}
-	}
-	if err := ValidateHistory(false, -time.Second); err != nil {
-		t.Errorf("interval without -history rejected: %v", err)
 	}
 }
 

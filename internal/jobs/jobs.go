@@ -31,11 +31,8 @@
 // barriers, and scripts/chaos_resume.sh holds it against a real
 // kill -9.
 //
-// The counter-banking guarantee is per-process: a server running
-// multiple jobs concurrently (amperebleed serve) still gets durable,
-// exactly-resumable *results*, but its banked counters include
-// whatever else the process was doing. The byte-identical-manifest
-// property is for one job per process, which is how the CLI paths run.
+// The counter-banking guarantee is per-process: it assumes one job per
+// process, which is how the CLI paths run.
 package jobs
 
 import (
@@ -156,9 +153,6 @@ type Outcome struct {
 	// Rounds is the number of committed round barriers.
 	Rounds int
 }
-
-// Completed reports how many shards have results.
-func (o *Outcome) Completed() int { return len(o.Results) }
 
 // Run executes the shards under supervision and returns the outcome.
 // runShard is invoked exactly as by runner.Run — its Info.Seed is

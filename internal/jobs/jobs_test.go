@@ -58,8 +58,8 @@ func TestRunCompletesAllShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Completed() != 5 || len(out.Quarantined) != 0 {
-		t.Fatalf("completed %d quarantined %d, want 5/0", out.Completed(), len(out.Quarantined))
+	if len(out.Results) != 5 || len(out.Quarantined) != 0 {
+		t.Fatalf("completed %d quarantined %d, want 5/0", len(out.Results), len(out.Quarantined))
 	}
 	if out.Rounds != 3 {
 		t.Errorf("rounds = %d, want 3 (5 shards in rounds of 2)", out.Rounds)
@@ -88,8 +88,8 @@ func TestRunRetriesTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Completed() != 3 || len(out.Quarantined) != 0 {
-		t.Fatalf("completed %d quarantined %d, want 3/0", out.Completed(), len(out.Quarantined))
+	if len(out.Results) != 3 || len(out.Quarantined) != 0 {
+		t.Fatalf("completed %d quarantined %d, want 3/0", len(out.Results), len(out.Quarantined))
 	}
 	if got := attempts.count("demo/1"); got != 3 {
 		t.Errorf("flaky shard ran %d times, want 3", got)
@@ -110,8 +110,8 @@ func TestRunQuarantinesPersistentFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Completed() != 2 {
-		t.Errorf("completed = %d, want 2", out.Completed())
+	if len(out.Results) != 2 {
+		t.Errorf("completed = %d, want 2", len(out.Results))
 	}
 	if msg, ok := out.Quarantined["demo/0"]; !ok || msg != "hardware on fire" {
 		t.Errorf("quarantine record = %q, %v; want the shard error", msg, ok)
@@ -136,8 +136,8 @@ func TestRunQuarantinesPanickingShard(t *testing.T) {
 	if _, ok := out.Quarantined["demo/1"]; !ok {
 		t.Errorf("panicking shard not quarantined: %+v", out.Quarantined)
 	}
-	if out.Completed() != 1 {
-		t.Errorf("completed = %d, want 1", out.Completed())
+	if len(out.Results) != 1 {
+		t.Errorf("completed = %d, want 1", len(out.Results))
 	}
 }
 
@@ -180,8 +180,8 @@ func TestRunCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Completed() != 6 {
-		t.Fatalf("completed = %d, want 6", out.Completed())
+	if len(out.Results) != 6 {
+		t.Fatalf("completed = %d, want 6", len(out.Results))
 	}
 	if out.ResumedShards != 2 {
 		t.Errorf("resumed shards = %d, want 2", out.ResumedShards)

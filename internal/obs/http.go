@@ -48,11 +48,6 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 //	/metrics            OpenMetrics/Prometheus text exposition
 //	/metrics/stream     SSE feed of JSON snapshots (?interval=500ms)
 //	/metrics/snapshot   JSON Snapshot of the registry
-//	/metrics/range      retained history: raw points or aggregate windows
-//	                    (?series=a,b&window=10s&last=5m; catalog without
-//	                    series; 501 unless a history recorder is running)
-//	/metrics/query      history computations (?series=&fn=rate|quantile
-//	                    &window=&q=; 501 unless recording)
 //	/healthz            watch-rule verdict (200 ok / 503 with violations;
 //	                    ?verbose=1 for the full JSON verdict list)
 //	/trace              Chrome trace-event JSON of spans and events
@@ -75,8 +70,6 @@ func NewHandler(r *Registry) http.Handler {
 		_ = r.WriteOpenMetrics(w)
 	}))
 	mux.HandleFunc("/metrics/stream", getOnly(streamHandler(r)))
-	mux.HandleFunc("/metrics/range", getOnly(historyRangeHandler(r)))
-	mux.HandleFunc("/metrics/query", getOnly(historyQueryHandler(r)))
 	mux.HandleFunc("/metrics/snapshot", getOnly(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)

@@ -251,9 +251,6 @@ type Registry struct {
 	streamSubs int
 	// health is the watcher /healthz consults; set by Registry.Watch.
 	health atomic.Pointer[Watcher]
-	// history is the time-series recorder /metrics/range and
-	// /metrics/query consult; set by Registry.StartRecorder.
-	history atomic.Pointer[Recorder]
 }
 
 // NewRegistry returns an empty registry.

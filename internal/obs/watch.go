@@ -4,19 +4,11 @@ package obs
 // the resilient sampling layer absorbs faults into gaps and retries,
 // and nothing complains until the post-hoc analysis looks wrong. A
 // Watcher turns the registry's own metrics into a live verdict — each
-// rule inspects the current snapshot (and, when a history recorder is
-// running, the retained time series, so ratio rules judge the last N
-// sampling windows instead of the whole process lifetime), violations
-// are emitted as structured warn-level events (and through an optional
-// callback, which the CLIs route into the olog facade), and the
-// /healthz endpoint reports the current verdict for scripts and
-// orchestrators (?verbose=1 for the full structured list).
-//
-// Windowed evaluation is what lets /healthz recover: a transient fault
-// burst during a covert run pushes the recent-window gap ratio over
-// threshold (503) and then ages out of the window (back to 200), where
-// a cumulative ratio would have pinned the verdict unhealthy for the
-// rest of the process.
+// rule inspects the current snapshot, violations are emitted as
+// structured warn-level events (and through an optional callback, which
+// the CLIs route into the olog facade), and the /healthz endpoint
+// reports the current verdict for scripts and orchestrators
+// (?verbose=1 for the full structured list).
 //
 // Like the stream counters, obs.watch.violations is registered lazily
 // by Watch so non-watching processes keep their deterministic counter
@@ -46,8 +38,7 @@ type Verdict struct {
 	Rule string `json:"rule"`
 	// OK reports whether the rule passed.
 	OK bool `json:"ok"`
-	// Window names the evaluation horizon: "10×1s" for a windowed rule
-	// judging the last 10 one-second samples, "cumulative" for
+	// Window names the evaluation horizon: "cumulative" for
 	// process-lifetime totals, "instant" for point-in-time checks.
 	Window string `json:"window"`
 	// Observed and Threshold are the compared values.
@@ -59,24 +50,13 @@ type Verdict struct {
 	At time.Time `json:"at"`
 }
 
-// EvalInput is what a rule sees: the previous and current snapshots
-// (prev is zero and HasPrev false on the first evaluation) and the
-// registry's history recorder when one is running (nil otherwise),
-// which windowed rules use and others ignore.
-type EvalInput struct {
-	Prev    Snapshot
-	Cur     Snapshot
-	HasPrev bool
-	History *Recorder
-}
-
 // Rule is one health predicate over the registry.
 type Rule struct {
 	// Name identifies the rule in events, logs, and /healthz output.
 	Name string
-	// Eval judges the input and returns a structured verdict; the
-	// watcher fills Rule and At.
-	Eval func(in EvalInput) Verdict
+	// Eval judges the current snapshot and returns a structured
+	// verdict; the watcher fills Rule and At.
+	Eval func(cur Snapshot) Verdict
 }
 
 // fail formats a failing verdict.
@@ -88,48 +68,27 @@ func pass(window string, observed, threshold float64) Verdict {
 	return Verdict{OK: true, Window: window, Observed: observed, Threshold: threshold}
 }
 
-// DefaultHealthWindows is how many sampling intervals windowed default
-// rules look back over.
-const DefaultHealthWindows = 10
-
-// WindowedRatioRule fails when num/den, measured over the last windows
-// sampling intervals of the registry's history, exceeds max. Without a
-// history recorder — or before it holds two points in the window — the
-// rule falls back to the cumulative ratio, so health checks degrade
-// gracefully rather than going silent; the verdict's Window field says
-// which horizon judged ("10×1s" vs "cumulative").
-func WindowedRatioRule(name, num, den string, max float64, windows int) Rule {
-	if windows < 1 {
-		windows = DefaultHealthWindows
-	}
-	return Rule{Name: name, Eval: func(in EvalInput) Verdict {
-		if h := in.History; h != nil {
-			dn, okN := h.WindowedCounterDelta(num, windows)
-			dd, okD := h.WindowedCounterDelta(den, windows)
-			if okN && okD {
-				window := fmt.Sprintf("%d×%s", windows, h.Interval())
-				return ratioVerdict(window, dn, dd, num, den, max)
-			}
+// RatioRule fails when the cumulative ratio of counters num/den
+// exceeds max. A zero denominator (no data yet) passes.
+func RatioRule(name, num, den string, max float64) Rule {
+	return Rule{Name: name, Eval: func(cur Snapshot) Verdict {
+		const window = "cumulative"
+		n, d := float64(cur.Counter(num)), float64(cur.Counter(den))
+		if d == 0 {
+			return pass(window, 0, max)
 		}
-		return ratioVerdict("cumulative", float64(in.Cur.Counter(num)), float64(in.Cur.Counter(den)), num, den, max)
+		ratio := n / d
+		if ratio > max {
+			return fail(window, ratio, max, "%s/%s = %.3f exceeds %.3f over %s", num, den, ratio, max, window)
+		}
+		return pass(window, ratio, max)
 	}}
-}
-
-func ratioVerdict(window string, num, den float64, numName, denName string, max float64) Verdict {
-	if den == 0 {
-		return pass(window, 0, max)
-	}
-	ratio := num / den
-	if ratio > max {
-		return fail(window, ratio, max, "%s/%s = %.3f exceeds %.3f over %s", numName, denName, ratio, max, window)
-	}
-	return pass(window, ratio, max)
 }
 
 // GaugeCeilingRule fails when the named gauge exceeds max.
 func GaugeCeilingRule(name, gauge string, max float64) Rule {
-	return Rule{Name: name, Eval: func(in EvalInput) Verdict {
-		v := in.Cur.Gauge(gauge)
+	return Rule{Name: name, Eval: func(cur Snapshot) Verdict {
+		v := cur.Gauge(gauge)
 		if v > max {
 			return fail("instant", v, max, "%s = %g exceeds ceiling %g", gauge, v, max)
 		}
@@ -140,17 +99,13 @@ func GaugeCeilingRule(name, gauge string, max float64) Rule {
 // DefaultHealthRules are the rules the CLIs install when serving obs
 // endpoints: the sampling layer may absorb faults, but when more than
 // half the recorded samples are gaps, or one sampler is stuck in a long
-// consecutive-gap run, the run's figures are no longer trustworthy. The
-// ratio rules evaluate over the last DefaultHealthWindows sampling
-// intervals when a history recorder is running (so /healthz recovers
-// once a transient burst ages out) and over cumulative totals
-// otherwise.
+// consecutive-gap run, the run's figures are no longer trustworthy.
 func DefaultHealthRules() []Rule {
 	return []Rule{
-		WindowedRatioRule("trace.gap_ratio", "trace.gaps_recorded", "trace.samples_recorded", 0.5, DefaultHealthWindows),
-		WindowedRatioRule("core.sampler.gap_ratio", "core.sampler.gaps", "core.sampler.samples", 0.5, DefaultHealthWindows),
+		RatioRule("trace.gap_ratio", "trace.gaps_recorded", "trace.samples_recorded", 0.5),
+		RatioRule("core.sampler.gap_ratio", "core.sampler.gaps", "core.sampler.samples", 0.5),
 		GaugeCeilingRule("core.sampler.consecutive_gaps", "core.sampler.consecutive_gaps", 64),
-		WindowedRatioRule("runner.shard_failures", "runner.shards_failed", "runner.shards", 0.25, DefaultHealthWindows),
+		RatioRule("runner.shard_failures", "runner.shards_failed", "runner.shards", 0.25),
 	}
 }
 
@@ -160,8 +115,6 @@ type Watcher struct {
 	rules []Rule
 
 	mu          sync.Mutex
-	prev        Snapshot
-	hasPrev     bool
 	last        []Verdict
 	onViolation func(Violation)
 	violations  *Counter
@@ -195,19 +148,16 @@ func (w *Watcher) OnViolation(f func(Violation)) {
 
 // EvaluateVerdicts snapshots the registry, runs every rule, records
 // violations as warn events and through the callback, and returns one
-// verdict per rule (passing and failing). The snapshot becomes the
-// "previous" for the next evaluation's rate rules.
+// verdict per rule (passing and failing).
 func (w *Watcher) EvaluateVerdicts() []Verdict {
 	cur := w.reg.Snapshot()
 	w.mu.Lock()
-	prev, hasPrev, cb := w.prev, w.hasPrev, w.onViolation
-	w.prev, w.hasPrev = cur, true
+	cb := w.onViolation
 	w.mu.Unlock()
 
-	in := EvalInput{Prev: prev, Cur: cur, HasPrev: hasPrev, History: w.reg.History()}
 	out := make([]Verdict, 0, len(w.rules))
 	for _, rule := range w.rules {
-		v := rule.Eval(in)
+		v := rule.Eval(cur)
 		v.Rule = rule.Name
 		v.At = cur.TakenAt
 		out = append(out, v)

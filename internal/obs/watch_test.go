@@ -2,24 +2,28 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestRatioRule pins the cumulative ratio judgement, which
-// WindowedRatioRule falls back to when no history recorder runs.
+// TestRatioRule pins the cumulative ratio judgement.
 func TestRatioRule(t *testing.T) {
-	rule := WindowedRatioRule("gap_ratio", "gaps", "samples", 0.5, 5)
+	rule := RatioRule("gap_ratio", "gaps", "samples", 0.5)
 	cur := Snapshot{Counters: map[string]int64{"gaps": 3, "samples": 10}}
-	if v := rule.Eval(EvalInput{Cur: cur, HasPrev: true}); !v.OK {
+	if v := rule.Eval(cur); !v.OK {
 		t.Fatal("30% gaps flagged at a 50% threshold")
 	}
 	cur.Counters["gaps"] = 6
-	v := rule.Eval(EvalInput{Cur: cur, HasPrev: true})
+	v := rule.Eval(cur)
 	if v.OK {
 		t.Fatal("60% gaps passed a 50% threshold")
 	}
@@ -30,71 +34,22 @@ func TestRatioRule(t *testing.T) {
 		t.Fatalf("verdict = %+v", v)
 	}
 	// Zero denominator: no data is not a violation.
-	if v := rule.Eval(EvalInput{Cur: Snapshot{Counters: map[string]int64{"gaps": 5}}, HasPrev: true}); !v.OK {
+	if v := rule.Eval(Snapshot{Counters: map[string]int64{"gaps": 5}}); !v.OK {
 		t.Fatal("zero denominator flagged")
 	}
 }
 
 func TestGaugeCeilingRule(t *testing.T) {
 	rule := GaugeCeilingRule("consec", "core.sampler.consecutive_gaps", 64)
-	if v := rule.Eval(EvalInput{Cur: Snapshot{Gauges: map[string]float64{"core.sampler.consecutive_gaps": 64}}, HasPrev: true}); !v.OK {
+	if v := rule.Eval(Snapshot{Gauges: map[string]float64{"core.sampler.consecutive_gaps": 64}}); !v.OK {
 		t.Fatal("value at the ceiling flagged")
 	}
-	v := rule.Eval(EvalInput{Cur: Snapshot{Gauges: map[string]float64{"core.sampler.consecutive_gaps": 65}}, HasPrev: true})
+	v := rule.Eval(Snapshot{Gauges: map[string]float64{"core.sampler.consecutive_gaps": 65}})
 	if v.OK {
 		t.Fatal("value above the ceiling passed")
 	}
 	if v.Window != "instant" || v.Observed != 65 {
 		t.Fatalf("verdict = %+v", v)
-	}
-}
-
-func TestWindowedRatioRuleRecovers(t *testing.T) {
-	r := NewRegistry()
-	clk := &fakeClock{}
-	rec := r.NewRecorder(RecorderOptions{Interval: time.Second, Clock: clk})
-	r.history.Store(rec)
-	gaps := r.Counter("gaps")
-	samples := r.Counter("samples")
-	rule := WindowedRatioRule("gap_ratio", "gaps", "samples", 0.5, 5)
-
-	// A fault burst: 9 of 10 samples are gaps during the first seconds.
-	for i := 0; i < 5; i++ {
-		samples.Add(2)
-		gaps.Add(2)
-		clk.now += time.Second
-		rec.Sample()
-	}
-	in := EvalInput{Cur: r.Snapshot(), HasPrev: true, History: rec}
-	v := rule.Eval(in)
-	if v.OK {
-		t.Fatalf("100%% gaps in-window passed: %+v", v)
-	}
-	if v.Window != "5×1s" {
-		t.Fatalf("window = %q, want 5×1s", v.Window)
-	}
-
-	// The burst stops; clean sampling continues. Once the burst ages out
-	// of the 5-interval window the rule recovers even though the
-	// cumulative ratio is still ~29%... and a cumulative 0.15-threshold
-	// rule would never recover.
-	for i := 0; i < 8; i++ {
-		samples.Add(5)
-		clk.now += time.Second
-		rec.Sample()
-	}
-	v = rule.Eval(EvalInput{Cur: r.Snapshot(), HasPrev: true, History: rec})
-	if !v.OK {
-		t.Fatalf("recovered window still failing: %+v", v)
-	}
-	if v.Window != "5×1s" {
-		t.Fatalf("window = %q after recovery", v.Window)
-	}
-
-	// Cumulative fallback: without history the same rule judges totals.
-	v = rule.Eval(EvalInput{Cur: r.Snapshot(), HasPrev: true})
-	if v.Window != "cumulative" {
-		t.Fatalf("no-history window = %q, want cumulative", v.Window)
 	}
 }
 
@@ -219,5 +174,56 @@ func TestWatcherRunStopsOnCancel(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not stop on cancel")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// scrubAt replaces the volatile "at" timestamps so the verbose healthz
+// body goldens cleanly.
+var scrubAt = regexp.MustCompile(`"at": "[^"]*"`)
+
+func TestHealthzVerboseGolden(t *testing.T) {
+	r := NewRegistry()
+	// 80 of 90 samples are gaps: the gap-ratio rule must fail while the
+	// shard and ceiling rules pass.
+	r.Counter("trace.samples_recorded").Add(90)
+	r.Counter("trace.gaps_recorded").Add(80)
+	r.Watch()
+	srv := httptest.NewServer(NewHandler(r))
+	defer srv.Close()
+
+	body, code := getBody(t, srv.URL+"/healthz?verbose=1")
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("verbose healthz code = %d, body %q", code, body)
+	}
+	var parsed struct {
+		Healthy  bool      `json:"healthy"`
+		Verdicts []Verdict `json:"verdicts"`
+	}
+	if err := json.Unmarshal([]byte(body), &parsed); err != nil {
+		t.Fatal(err)
+	}
+	if parsed.Healthy || len(parsed.Verdicts) != 4 {
+		t.Fatalf("parsed = %+v", parsed)
+	}
+
+	got := scrubAt.ReplaceAll([]byte(body), []byte(`"at": "SCRUBBED"`))
+	path := filepath.Join("testdata", "healthz_verbose.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update to create): %v", path, err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("verbose healthz changed:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -157,15 +157,13 @@ func ReadFile(path string) ([]Artifact, error) {
 }
 
 // DeterministicCounters returns the artifact's obs counters minus the
-// wall-clock derived ones (anything containing "walltime") and the
-// history recorder's own bookkeeping (the obs.tsdb.* self-metrics,
-// whose sample counts follow the wall-clock ticker, and which only
-// exist at all when the run used -history). For a fixed seed and
-// configuration the remainder must be exactly equal between runs.
+// wall-clock derived ones (anything containing "walltime"). For a fixed
+// seed and configuration the remainder must be exactly equal between
+// runs.
 func (a *Artifact) DeterministicCounters() map[string]int64 {
 	out := make(map[string]int64, len(a.Obs.Counters))
 	for k, v := range a.Obs.Counters {
-		if strings.Contains(k, "walltime") || strings.HasPrefix(k, "obs.tsdb.") {
+		if strings.Contains(k, "walltime") {
 			continue
 		}
 		out[k] = v

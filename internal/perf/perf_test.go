@@ -113,29 +113,6 @@ func TestCompareFailsOnDeterministicDrift(t *testing.T) {
 	}
 }
 
-// A run with -history carries the recorder's lazily registered
-// obs.tsdb.* self-metrics, whose sample counts follow the wall-clock
-// ticker. They must stay out of the deterministic gate: a history-on
-// run compared against a history-off baseline is drift-free.
-func TestCompareIgnoresHistorySelfMetrics(t *testing.T) {
-	base := sampleArtifact(1000)
-	withHistory := sampleArtifact(1000)
-	withHistory.Obs.Counters["obs.tsdb.samples"] = 37
-	withHistory.Obs.Counters["obs.tsdb.evictions"] = 4
-	cmp, err := Compare([]Artifact{base}, []Artifact{withHistory}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Failed() {
-		t.Fatalf("history self-metrics gated as deterministic: %+v", cmp.Drift)
-	}
-	for _, d := range cmp.Drift {
-		if strings.HasPrefix(d.Name, "obs.tsdb.") {
-			t.Fatalf("recorder bookkeeping counter %s gated as deterministic", d.Name)
-		}
-	}
-}
-
 func TestCompareWallClockReportOnlyByDefault(t *testing.T) {
 	base := sampleArtifact(1000)
 	slow := sampleArtifact(1000)

@@ -1,23 +1,20 @@
-// Package resilience is the generic protection toolkit under the
-// supervised job engine: a circuit breaker for flaky dependencies, a
-// token-bucket rate limiter, and a semaphore-based admission
-// controller with a bounded wait queue and load shedding.
+// Package resilience holds the circuit breaker that guards the
+// sampler's sysfs reads against a flaky sensor path.
 //
-// Everything in the package is clock-agnostic: components take a
-// Now func() time.Duration instead of reading the wall clock, so the
-// same breaker protects a simulated sensor read path (sim clock, fully
-// deterministic under replay) and a live HTTP job server (wall clock).
-// Where a component needs randomness — the breaker's probe-scheduling
-// jitter, which prevents a fleet of half-open breakers from probing in
-// lock step — it draws from an injected *rand.Rand, expected to be a
-// named stream of the simulation engine (seed ^ FNV-1a(name)), keeping
-// chaos runs byte-identical across worker counts.
+// The breaker is clock-agnostic: it takes a Now func() time.Duration
+// instead of reading the wall clock, so on a simulated board it runs on
+// the sim clock and stays fully deterministic under replay. Its
+// probe-scheduling jitter, which prevents a fleet of half-open breakers
+// from probing in lock step, draws from an injected *rand.Rand,
+// expected to be a named stream of the simulation engine
+// (seed ^ FNV-1a(name)), keeping chaos runs byte-identical across
+// worker counts.
 //
-// Shed load and breaker transitions are first-class observability
-// events: resilience.breaker.open_total, resilience.breaker.
-// short_circuit_total, resilience.admission.shed_total and friends
-// land in the obs registry, so a run that survived by degrading says
-// so in its manifest instead of silently absorbing the damage.
+// Breaker transitions are first-class observability events:
+// resilience.breaker.open_total, resilience.breaker.short_circuit_total
+// and friends land in the obs registry, so a run that survived by
+// degrading says so in its manifest instead of silently absorbing the
+// damage.
 package resilience
 
 import (
@@ -37,16 +34,13 @@ import (
 // shared gauge, to keep last-writer races out of manifests.
 //
 // Registration is lazy — obs.C on the event path, like
-// obs.stream.dropped_frames — so a process that never sheds or trips
+// obs.stream.dropped_frames — so a process that never trips
 // (the benchtab perf harness, whose baseline comparison gates on the
 // exact deterministic counter set) sees no new counters.
-func cBreakerOpen() *obs.Counter    { return obs.C("resilience.breaker.open_total") }
-func cBreakerShort() *obs.Counter   { return obs.C("resilience.breaker.short_circuit_total") }
-func cBreakerProbes() *obs.Counter  { return obs.C("resilience.breaker.probes_total") }
-func cBreakerCloses() *obs.Counter  { return obs.C("resilience.breaker.close_total") }
-func cAdmissionShed() *obs.Counter  { return obs.C("resilience.admission.shed_total") }
-func cAdmissionAdmit() *obs.Counter { return obs.C("resilience.admission.admitted_total") }
-func cLimiterDenied() *obs.Counter  { return obs.C("resilience.limiter.denied_total") }
+func cBreakerOpen() *obs.Counter   { return obs.C("resilience.breaker.open_total") }
+func cBreakerShort() *obs.Counter  { return obs.C("resilience.breaker.short_circuit_total") }
+func cBreakerProbes() *obs.Counter { return obs.C("resilience.breaker.probes_total") }
+func cBreakerCloses() *obs.Counter { return obs.C("resilience.breaker.close_total") }
 
 // State is a circuit breaker state.
 type State int
@@ -75,10 +69,6 @@ func (s State) String() string {
 	}
 }
 
-// ErrOpen is returned by Breaker.Allow callers' convention (and by Do)
-// when the breaker is open and the request was short-circuited.
-var ErrOpen = errors.New("resilience: circuit breaker open")
-
 // BreakerConfig parameterizes a Breaker. The zero value of every
 // tunable selects a sane default; Now is the only required field.
 type BreakerConfig struct {
@@ -99,7 +89,7 @@ type BreakerConfig struct {
 	// that closes a half-open breaker. Zero means 2.
 	HalfOpenSuccesses int
 	// Now supplies the clock; typically engine.Now for simulated
-	// components or a monotonic wall offset for servers. Required.
+	// components. Required.
 	Now func() time.Duration
 	// Rand supplies the probe-scheduling jitter, typically a named sim
 	// RNG stream. Nil disables jitter.
@@ -242,21 +232,6 @@ func (b *Breaker) trip() {
 	b.openUntil = b.cfg.Now() + window
 	b.trips++
 	cBreakerOpen().Inc()
-}
-
-// Do runs fn under the breaker: short-circuits with ErrOpen when the
-// breaker rejects the request, otherwise reports fn's outcome back.
-func (b *Breaker) Do(fn func() error) error {
-	if !b.Allow() {
-		return ErrOpen
-	}
-	err := fn()
-	if err != nil {
-		b.OnFailure()
-	} else {
-		b.OnSuccess()
-	}
-	return err
 }
 
 // State returns the current state without side effects (an expired

@@ -1,16 +1,13 @@
 package resilience
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 )
 
-// fakeClock is a hand-advanced clock for deterministic breaker and
-// bucket tests.
+// fakeClock is a hand-advanced clock for deterministic breaker tests.
 type fakeClock struct {
 	mu  sync.Mutex
 	now time.Duration
@@ -176,22 +173,6 @@ func TestBreakerProbeJitterDeterministic(t *testing.T) {
 	}
 }
 
-func TestBreakerDo(t *testing.T) {
-	clk := &fakeClock{}
-	b := newTestBreaker(t, clk, func(cfg *BreakerConfig) { cfg.FailureThreshold = 1 })
-	boom := errors.New("boom")
-	if err := b.Do(func() error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("Do = %v, want boom", err)
-	}
-	if err := b.Do(func() error { return nil }); !errors.Is(err, ErrOpen) {
-		t.Fatalf("Do on open breaker = %v, want ErrOpen", err)
-	}
-	clk.Advance(11 * time.Millisecond)
-	if err := b.Do(func() error { return nil }); err != nil {
-		t.Fatalf("probe Do = %v, want nil", err)
-	}
-}
-
 func TestBreakerConfigValidation(t *testing.T) {
 	if _, err := NewBreaker(BreakerConfig{}); err == nil {
 		t.Fatal("breaker without a clock accepted")
@@ -206,119 +187,5 @@ func TestBreakerConfigValidation(t *testing.T) {
 		if _, err := NewBreaker(cfg); err == nil {
 			t.Fatalf("invalid config %+v accepted", cfg)
 		}
-	}
-}
-
-func TestTokenBucket(t *testing.T) {
-	clk := &fakeClock{}
-	tb, err := NewTokenBucket(10, 2, clk.Now) // 10 tokens/s, burst 2
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tb.Allow() || !tb.Allow() {
-		t.Fatal("full bucket denied its burst")
-	}
-	if tb.Allow() {
-		t.Fatal("empty bucket granted a token")
-	}
-	clk.Advance(100 * time.Millisecond) // refills one token
-	if !tb.Allow() {
-		t.Fatal("bucket did not refill after 100ms at 10/s")
-	}
-	if tb.Allow() {
-		t.Fatal("bucket granted more than the refill")
-	}
-	// Refill is capped at burst.
-	clk.Advance(10 * time.Second)
-	if !tb.AllowN(2) {
-		t.Fatal("bucket did not cap refill at burst")
-	}
-	if tb.Allow() {
-		t.Fatal("bucket exceeded burst capacity")
-	}
-}
-
-func TestTokenBucketValidation(t *testing.T) {
-	clk := &fakeClock{}
-	if _, err := NewTokenBucket(1, 1, nil); err == nil {
-		t.Fatal("bucket without a clock accepted")
-	}
-	if _, err := NewTokenBucket(0, 1, clk.Now); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-	if _, err := NewTokenBucket(1, 0, clk.Now); err == nil {
-		t.Fatal("zero burst accepted")
-	}
-}
-
-func TestAdmissionShedsBeyondQueue(t *testing.T) {
-	a, err := NewAdmission(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	release, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatalf("first acquire: %v", err)
-	}
-	if a.InFlight() != 1 {
-		t.Fatalf("in-flight = %d, want 1", a.InFlight())
-	}
-	// Second request queues; third sheds.
-	queued := make(chan error, 1)
-	entered := make(chan struct{})
-	go func() {
-		// Signal once we are definitely in the wait queue.
-		go func() {
-			for a.Waiting() == 0 {
-				time.Sleep(time.Millisecond)
-			}
-			close(entered)
-		}()
-		rel, err := a.Acquire(context.Background())
-		if err == nil {
-			rel()
-		}
-		queued <- err
-	}()
-	<-entered
-	if _, err := a.Acquire(context.Background()); !errors.Is(err, ErrShed) {
-		t.Fatalf("over-queue acquire = %v, want ErrShed", err)
-	}
-	release()
-	if err := <-queued; err != nil {
-		t.Fatalf("queued acquire = %v, want nil after release", err)
-	}
-	release() // idempotent
-	if a.Waiting() != 0 {
-		t.Fatalf("waiting = %d, want 0", a.Waiting())
-	}
-}
-
-func TestAdmissionRespectsContext(t *testing.T) {
-	a, err := NewAdmission(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	release, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := a.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("cancelled acquire = %v, want deadline exceeded", err)
-	}
-	if a.Waiting() != 0 {
-		t.Fatalf("waiting = %d after cancellation, want 0", a.Waiting())
-	}
-}
-
-func TestAdmissionValidation(t *testing.T) {
-	if _, err := NewAdmission(0, 1); err == nil {
-		t.Fatal("zero limit accepted")
-	}
-	if _, err := NewAdmission(1, -1); err == nil {
-		t.Fatal("negative queue accepted")
 	}
 }
