@@ -170,7 +170,7 @@ func run() int {
 		defer func() {
 			if *obsHold > 0 {
 				fmt.Fprintf(os.Stderr, "obs: holding http://%s for %v after command exit\n", bound, *obsHold)
-				time.Sleep(*obsHold)
+				hold(runCtx, *obsHold)
 			}
 			stopServe()
 			shutdown()

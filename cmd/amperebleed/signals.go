@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 )
 
 // interruptExitCode is the conventional 128+SIGINT status reported when
@@ -45,4 +46,15 @@ func watchSignals(parent context.Context, ch <-chan os.Signal, exit func(int)) (
 		}
 	}()
 	return ctx, cancel
+}
+
+// hold waits for d, or until ctx is done: the first SIGINT/SIGTERM ends
+// an -obs-hold as it ends a running command.
+func hold(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+	case <-t.C:
+	}
 }

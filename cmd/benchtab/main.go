@@ -78,6 +78,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchtab: -repeat must be at least 1")
 		os.Exit(2)
 	}
+	if *parallel < 0 {
+		fmt.Fprintf(os.Stderr, "benchtab: -parallel must be >= 0 (0 selects GOMAXPROCS; got %d)\n", *parallel)
+		os.Exit(2)
+	}
 	if *compare && *baseline == "" {
 		fmt.Fprintln(os.Stderr, "benchtab: -compare requires -baseline FILE")
 		os.Exit(2)
@@ -171,7 +175,7 @@ func main() {
 			if *paperScale {
 				n = 100000
 			}
-			res, err := core.RSAHammingWeight(core.RSAConfig{Seed: *seed, Samples: n})
+			res, err := core.RSAHammingWeight(core.RSAConfig{Seed: *seed, Samples: n, Parallelism: *parallel})
 			if err != nil {
 				return err
 			}
@@ -189,11 +193,11 @@ func main() {
 			return report.RenderApplicability(out, rows)
 		})
 		run("tvla", func() error {
-			plain, err := core.AssessRSALeakage(core.LeakageConfig{Seed: *seed})
+			plain, err := core.AssessRSALeakage(core.LeakageConfig{Seed: *seed, Parallelism: *parallel})
 			if err != nil {
 				return err
 			}
-			ladder, err := core.AssessRSALeakage(core.LeakageConfig{Seed: *seed, Countermeasure: true})
+			ladder, err := core.AssessRSALeakage(core.LeakageConfig{Seed: *seed, Countermeasure: true, Parallelism: *parallel})
 			if err != nil {
 				return err
 			}

@@ -47,6 +47,7 @@ var transcripts = []struct {
 	{"unknown_experiment", []string{"-exp", "fig9"}},
 	{"repeat_zero", []string{"-exp", "table1", "-repeat", "0"}},
 	{"compare_without_baseline", []string{"-exp", "table1", "-compare"}},
+	{"parallel_negative", []string{"-exp", "all", "-parallel", "-1"}},
 }
 
 func TestTranscripts(t *testing.T) {

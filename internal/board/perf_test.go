@@ -75,3 +75,14 @@ func BenchmarkTick(b *testing.B) {
 		eng.Tick()
 	}
 }
+
+// BenchmarkNewZCU102 measures wiring one ZCU102: every experiment
+// session and capture builds a fresh board.
+func BenchmarkNewZCU102(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewZCU102(Config{Seed: int64(i) + 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package board
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"repro/internal/fabric"
@@ -400,13 +401,20 @@ func Wire(spec Spec, cfg Config) (*SoC, error) {
 	// --- ...and the board's remaining rails, carrying fixed bias loads. ---
 	for _, m := range miscRailsFor(spec) {
 		m := m
-		rng := eng.Stream("misc/" + m.label)
 		// The probe reads only its own stream and constants, so the
-		// sensor may defer it until read (ina226 observe-on-read).
+		// sensor may defer it until read (ina226 observe-on-read). The
+		// stream is seeded on the first replay: most of these sensors
+		// are never read, and seeding is most of wiring a board.
+		var rng *rand.Rand
 		if err := b.addSensor(cfg, m.label, psShuntOhms, ina226.Probe{
-			CurrentAmps: func() float64 { return m.amps + rng.NormFloat64()*0.001 },
-			BusVolts:    func() float64 { return m.volts },
-			Private:     true,
+			CurrentAmps: func() float64 {
+				if rng == nil {
+					rng = eng.Stream("misc/" + m.label)
+				}
+				return m.amps + rng.NormFloat64()*0.001
+			},
+			BusVolts: func() float64 { return m.volts },
+			Private:  true,
 		}); err != nil {
 			return nil, err
 		}
@@ -441,7 +449,7 @@ func (b *SoC) addSensor(cfg Config, label string, shunt float64, probe ina226.Pr
 		NoiseShuntVolts: 2e-6,
 		NoiseBusVolts:   50e-6,
 		Probe:           probe,
-		Rand:            b.eng.Stream("ina226/" + label),
+		Stream:          func() *rand.Rand { return b.eng.Stream("ina226/" + label) },
 	})
 	if err != nil {
 		return err

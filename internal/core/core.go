@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/hwmon"
@@ -184,4 +185,47 @@ func runShards[T any](name string, seed int64, workers int, shards []runner.Shar
 		return nil, err
 	}
 	return runner.Values(results), nil
+}
+
+// fanOut calls fn(ctx, i) for every i in [0, n) on at most workers
+// goroutines and waits for them all. After the first error it launches
+// no further calls and cancels the ctx the calls in flight see. It
+// returns the lowest-index error, not counting calls that only saw that
+// cancellation, so a failing config reports the same error for any
+// worker count. Callers store results by index, so the outcome does not
+// depend on the schedule either.
+//
+// The victim experiments (AssessRSALeakage's sessions, RSAHammingWeight's
+// keys) fan out here rather than through runShards: runner.Run counts
+// every shard in its runner.* metrics, and runner.shards is one of the
+// deterministic counters that benchtab -compare holds against
+// BENCH_PR4.json. Moving these calls onto the runner is a declared
+// re-baseline (ROADMAP item 7).
+func fanOut(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+	inner, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	for i := 0; i < n; i++ {
+		sem <- struct{}{}
+		if inner.Err() != nil {
+			break
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if errs[i] = fn(inner, i); errs[i] != nil {
+				cancel()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil && (ctx.Err() != nil || !errors.Is(err, context.Canceled)) {
+			return err
+		}
+	}
+	return ctx.Err()
 }

@@ -140,6 +140,55 @@ func TestFingerprintDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+func TestLeakageDeterministicAcrossWorkers(t *testing.T) {
+	for _, ladder := range []bool{false, true} {
+		var want []byte
+		for _, workers := range workerCounts {
+			res, err := AssessRSALeakage(LeakageConfig{
+				Seed:              7,
+				SamplesPerSession: 40,
+				RandomSessions:    2,
+				Countermeasure:    ladder,
+				Parallelism:       workers,
+			})
+			if err != nil {
+				t.Fatalf("ladder=%v workers=%d: %v", ladder, workers, err)
+			}
+			got := mustJSON(t, res)
+			if want == nil {
+				want = got
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("ladder=%v workers=%d: leakage result differs from workers=%d baseline", ladder, workers, workerCounts[0])
+			}
+		}
+	}
+}
+
+func TestRSADeterministicAcrossWorkers(t *testing.T) {
+	var want []byte
+	for _, workers := range workerCounts {
+		res, err := RSAHammingWeight(RSAConfig{
+			Seed:        7,
+			Weights:     []int{1, 128, 512, 896, 1024},
+			Samples:     100,
+			Parallelism: workers,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := mustJSON(t, res)
+		if want == nil {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: rsa result differs from workers=%d baseline", workers, workerCounts[0])
+		}
+	}
+}
+
 // TestCharacterizeShardedVsChunkSizeInvariant pins that the covert
 // chunked protocol's aggregate depends on the chunk layout but not the
 // worker schedule: same config, different worker counts, same BER.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/board"
@@ -29,6 +31,10 @@ type LeakageConfig struct {
 	RandomSessions int
 	// Countermeasure assesses the Montgomery-ladder victim instead.
 	Countermeasure bool
+	// Parallelism bounds concurrent victim sessions; zero means
+	// GOMAXPROCS. Every session's seed comes from its tag, so results
+	// are bit-identical for any value.
+	Parallelism int
 }
 
 // LeakageResult is the assessment outcome.
@@ -61,7 +67,19 @@ func AssessRSALeakage(cfg LeakageConfig) (*LeakageResult, error) {
 	if cfg.RandomSessions < 1 {
 		return nil, errors.New("core: need at least one random session")
 	}
+	if cfg.Parallelism == 0 {
+		cfg.Parallelism = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Parallelism < 1 {
+		return nil, errors.New("core: non-positive parallelism")
+	}
 
+	// The sessions, in the order their samples are pooled: the fixed
+	// session, the random ones, then one per SNR weight group.
+	type session struct {
+		tag      string
+		exponent *big.Int
+	}
 	// Fixed side: one deliberately heavy key (HW 700), reused across the
 	// fixed session — the TVLA convention of a fixed input class.
 	fixedRng := rand.New(rand.NewSource(captureSeed(cfg.Seed, "tvla/fixed-key", 0)))
@@ -69,45 +87,45 @@ func AssessRSALeakage(cfg LeakageConfig) (*LeakageResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fixed, err := collectRSACurrent(cfg, "tvla/fixed", fixedKey)
-	if err != nil {
-		return nil, err
-	}
-
+	sessions := []session{{"tvla/fixed", fixedKey}}
 	// Random side: a fresh uniform 1024-bit key per session (binomial
 	// Hamming weight around 512).
-	var random []float64
 	for s := 0; s < cfg.RandomSessions; s++ {
 		keyRng := rand.New(rand.NewSource(captureSeed(cfg.Seed, "tvla/random-key", s)))
 		exp, err := rsa.Modulus(1024, keyRng) // odd, top bit set: a valid exponent
 		if err != nil {
 			return nil, err
 		}
-		samples, err := collectRSACurrent(cfg, fmt.Sprintf("tvla/random/%d", s), exp)
-		if err != nil {
-			return nil, err
-		}
-		random = append(random, samples...)
+		sessions = append(sessions, session{fmt.Sprintf("tvla/random/%d", s), exp})
 	}
-
-	res := &LeakageResult{}
-	if res.TVLA, err = leakage.TVLA(fixed, random); err != nil {
-		return nil, err
-	}
-
 	// SNR across three well-separated weight groups.
-	groups := make([][]float64, 0, 3)
 	for _, hw := range []int{1, 512, 1024} {
 		keyRng := rand.New(rand.NewSource(captureSeed(cfg.Seed, "snr-key", hw)))
 		exp, err := rsa.ExponentWithHammingWeight(1024, hw, keyRng)
 		if err != nil {
 			return nil, err
 		}
-		samples, err := collectRSACurrent(cfg, fmt.Sprintf("snr/%d", hw), exp)
-		if err != nil {
-			return nil, err
-		}
-		groups = append(groups, samples)
+		sessions = append(sessions, session{fmt.Sprintf("snr/%d", hw), exp})
+	}
+
+	// Every session wires its own board from its tag's seed, so they run
+	// concurrently and are assembled by index.
+	samples := make([][]float64, len(sessions))
+	if err := fanOut(context.Background(), len(sessions), cfg.Parallelism, func(ctx context.Context, i int) (err error) {
+		samples[i], err = collectRSACurrent(ctx, cfg, sessions[i].tag, sessions[i].exponent)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	fixed, groups := samples[0], samples[1+cfg.RandomSessions:]
+	var random []float64
+	for _, s := range samples[1 : 1+cfg.RandomSessions] {
+		random = append(random, s...)
+	}
+
+	res := &LeakageResult{}
+	if res.TVLA, err = leakage.TVLA(fixed, random); err != nil {
+		return nil, err
 	}
 	if res.SNR, err = leakage.SNR(groups); err != nil {
 		return nil, err
@@ -116,8 +134,9 @@ func AssessRSALeakage(cfg LeakageConfig) (*LeakageResult, error) {
 }
 
 // collectRSACurrent runs one victim session and returns the attacker's
-// 1 kHz FPGA-current samples.
-func collectRSACurrent(cfg LeakageConfig, tag string, exponent *big.Int) ([]float64, error) {
+// FPGA-current samples. ctx is polled between the warmup and the
+// capture.
+func collectRSACurrent(ctx context.Context, cfg LeakageConfig, tag string, exponent *big.Int) ([]float64, error) {
 	seed := captureSeed(cfg.Seed, tag, 0)
 	b, err := board.NewZCU102(board.Config{Seed: seed})
 	if err != nil {
@@ -156,6 +175,9 @@ func collectRSACurrent(cfg LeakageConfig, tag string, exponent *big.Int) ([]floa
 	}
 	rec.Reserve(cfg.SamplesPerSession + 1)
 	b.Run(200 * time.Millisecond)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	rec.Reset()
 	b.Engine().MustRegister("recorder/tvla", rec)
 	b.Run(time.Duration(cfg.SamplesPerSession) * interval)

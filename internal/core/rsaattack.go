@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/board"
@@ -116,23 +116,11 @@ func RSAHammingWeight(cfg RSAConfig) (*RSAResult, error) {
 	}
 
 	obs := make([]KeyObservation, len(cfg.Weights))
-	errs := make([]error, len(cfg.Weights))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Parallelism)
-	for i, w := range cfg.Weights {
-		wg.Add(1)
-		go func(i, w int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			obs[i], errs[i] = observeKey(cfg, w)
-		}(i, w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := fanOut(context.Background(), len(cfg.Weights), cfg.Parallelism, func(ctx context.Context, i int) (err error) {
+		obs[i], err = observeKey(ctx, cfg, cfg.Weights[i])
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	sort.Slice(obs, func(a, b int) bool { return obs[a].Weight < obs[b].Weight })
 
@@ -172,8 +160,9 @@ func RSAHammingWeight(cfg RSAConfig) (*RSAResult, error) {
 }
 
 // observeKey runs one victim key on a fresh board and samples the FPGA
-// current and power channels.
-func observeKey(cfg RSAConfig, weight int) (KeyObservation, error) {
+// current and power channels. ctx is polled between the warmup and the
+// capture.
+func observeKey(ctx context.Context, cfg RSAConfig, weight int) (KeyObservation, error) {
 	seed := captureSeed(cfg.Seed, fmt.Sprintf("rsa/%d", weight), weight)
 	b, err := board.NewZCU102(board.Config{Seed: seed})
 	if err != nil {
@@ -244,6 +233,9 @@ func observeKey(cfg RSAConfig, weight int) (KeyObservation, error) {
 	recCur.Reserve(cfg.Samples + 1)
 	recPow.Reserve(cfg.Samples + 1)
 	b.Run(cfg.Warmup)
+	if err := ctx.Err(); err != nil {
+		return KeyObservation{}, err
+	}
 	recCur.Reset()
 	recPow.Reset()
 	b.Engine().MustRegister("recorder/current", recCur)

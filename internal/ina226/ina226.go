@@ -37,7 +37,9 @@
 // would have, so every observation is bit-identical to eager
 // evaluation. Installing non-zero fault hooks makes a device eager for
 // good: fault hooks draw from streams at latch time, so faulted runs
-// keep the tick-by-tick path.
+// keep the tick-by-tick path. A lazy device given Config.Stream also
+// fetches its noise stream only on its first replay, so an unread
+// device never pays for seeding one.
 package ina226
 
 import (
@@ -111,8 +113,14 @@ type Config struct {
 	NoiseBusVolts float64
 	// Probe supplies the monitored rail. Both functions required.
 	Probe Probe
-	// Rand supplies the noise stream; required when any noise is set.
+	// Rand supplies the noise stream; required when any noise is set,
+	// unless Stream is.
 	Rand *rand.Rand
+	// Stream, used when Rand is nil, supplies the noise stream on
+	// demand. A private device calls it only when it first replays
+	// pending ticks or turns eager, so a device that is never observed
+	// never creates its stream.
+	Stream func() *rand.Rand
 }
 
 // Device is one simulated INA226.
@@ -160,6 +168,10 @@ type Device struct {
 	// the cached value is bit-identical to recomputing it.
 	lastDt  time.Duration
 	lastSec float64
+
+	// stream fetches rng on first use when it is nil (Config.Stream).
+	// Kept last so the tick path's fields keep their offsets.
+	stream func() *rand.Rand
 }
 
 // New validates cfg and returns a device with all registers zero.
@@ -176,7 +188,7 @@ func New(cfg Config) (*Device, error) {
 	if cfg.Probe.CurrentAmps == nil || cfg.Probe.BusVolts == nil {
 		return nil, fmt.Errorf("ina226 %s: incomplete probe", cfg.Label)
 	}
-	if (cfg.NoiseShuntVolts > 0 || cfg.NoiseBusVolts > 0) && cfg.Rand == nil {
+	if (cfg.NoiseShuntVolts > 0 || cfg.NoiseBusVolts > 0) && cfg.Rand == nil && cfg.Stream == nil {
 		return nil, fmt.Errorf("ina226 %s: noise requires a random stream", cfg.Label)
 	}
 	if cfg.NoiseShuntVolts < 0 || cfg.NoiseBusVolts < 0 {
@@ -203,13 +215,25 @@ func New(cfg Config) (*Device, error) {
 		interval:   interval,
 		probe:      cfg.Probe,
 		rng:        cfg.Rand,
+		stream:     cfg.Stream,
 		nShunt:     cfg.NoiseShuntVolts,
 		nBus:       cfg.NoiseBusVolts,
 		configReg:  cfgDefault,
 		lazy:       cfg.Probe.Private,
 	}
 	d.encodeIntervalInConfig()
+	if !d.lazy {
+		d.fetchStream()
+	}
 	return d, nil
+}
+
+// fetchStream takes the noise stream from Config.Stream the first time
+// the device needs it.
+func (d *Device) fetchStream() {
+	if d.rng == nil && d.stream != nil {
+		d.rng = d.stream()
+	}
 }
 
 // LatchedRegs is the set of registers written by one conversion latch,
@@ -243,6 +267,7 @@ func (d *Device) SetFaults(h FaultHooks) {
 	d.catchUp()
 	if h.SkipLatch != nil || h.CorruptLatch != nil {
 		d.lazy = false
+		d.fetchStream()
 	}
 	d.faults = h
 }
@@ -331,6 +356,10 @@ func (d *Device) Step(now, dt time.Duration) {
 // noise draws, integration and latches eager steps would have made.
 // The update count was advanced on the ticks themselves.
 func (d *Device) catchUp() {
+	if d.pending == 0 {
+		return
+	}
+	d.fetchStream()
 	for ; d.pending > 0; d.pending-- {
 		d.integrate()
 		if d.accTime >= d.interval {

@@ -312,3 +312,61 @@ func TestPowerConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStreamFetchedOnDemand pins when a device takes its noise stream
+// from Config.Stream: an eager device at New, a private one on its
+// first replay or when fault hooks make it eager, and either at most
+// once. The private device's readings equal an eager twin's given the
+// stream up front.
+func TestStreamFetchedOnDemand(t *testing.T) {
+	newWith := func(private bool, calls *int) *Device {
+		t.Helper()
+		probe := fixedProbe(1.5, 0.85)
+		probe.Private = private
+		d, err := New(Config{
+			Label:           "ina226_u78",
+			ShuntOhms:       0.005,
+			CurrentLSB:      1e-3,
+			NoiseShuntVolts: 2e-6,
+			NoiseBusVolts:   50e-6,
+			Probe:           probe,
+			Stream: func() *rand.Rand {
+				*calls++
+				return rand.New(rand.NewSource(7))
+			},
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return d
+	}
+
+	var eagerCalls int
+	eager := newWith(false, &eagerCalls)
+	if eagerCalls != 1 {
+		t.Fatalf("eager device fetched its stream %d times at New, want 1", eagerCalls)
+	}
+
+	var lazyCalls int
+	lazy := newWith(true, &lazyCalls)
+	run(eager, 100*time.Millisecond)
+	run(lazy, 100*time.Millisecond)
+	if lazyCalls != 0 {
+		t.Fatalf("unobserved private device fetched its stream %d times, want 0", lazyCalls)
+	}
+	if got, want := lazy.Read(), eager.Read(); got != want {
+		t.Fatalf("private device read %+v, eager twin %+v", got, want)
+	}
+	run(lazy, 100*time.Millisecond)
+	lazy.Read()
+	if lazyCalls != 1 {
+		t.Fatalf("private device fetched its stream %d times after two replays, want 1", lazyCalls)
+	}
+
+	var faultedCalls int
+	faulted := newWith(true, &faultedCalls)
+	faulted.SetFaults(FaultHooks{SkipLatch: func() bool { return false }})
+	if faultedCalls != 1 {
+		t.Fatalf("private device turned eager fetched its stream %d times, want 1", faultedCalls)
+	}
+}
